@@ -60,9 +60,10 @@ class CrossTrafficUe:
 
     def demand_at(self, now_us: int) -> int:
         """PRBs this UE wants in the slot containing *now_us*."""
-        scripted = self._scripted_demand(now_us)
-        if scripted > 0:
-            return scripted
+        if self.scripted_bursts:
+            scripted = self._scripted_demand(now_us)
+            if scripted > 0:
+                return scripted
         if self.mean_on_ms <= 0 or self.mean_prb_demand <= 0:
             return 0
         if now_us < self._busy_until_us:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -100,8 +100,10 @@ class HarqEntity:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
-        # (resolution_slot, tb, attempt, bler_initial)
-        self._pending: List[Tuple[int, TransportBlock, int, float]] = []
+        # resolution_slot -> [(tb, attempt, bler_initial)] in submission
+        # order, so attempts resolving together draw in that order.
+        self._pending: Dict[int, List[Tuple[TransportBlock, int, float]]] = {}
+        self._n_pending = 0
         self.total_transmissions = 0
         self.total_retransmissions = 0
         self.total_failures = 0
@@ -123,10 +125,18 @@ class HarqEntity:
         The decode outcome resolves ``decode_delay_slots`` after the
         attempt; a retransmission then waits a further ``rtt_slots``.
         """
-        self._pending.append(
-            (tb.slot + self.decode_delay_slots, tb, 0, bler)
-        )
+        self._schedule(tb.slot + self.decode_delay_slots, tb, 0, bler)
         self.total_transmissions += 1
+
+    def _schedule(
+        self, slot: int, tb: TransportBlock, attempt: int, bler: float
+    ) -> None:
+        bucket = self._pending.get(slot)
+        if bucket is None:
+            self._pending[slot] = [(tb, attempt, bler)]
+        else:
+            bucket.append((tb, attempt, bler))
+        self._n_pending += 1
 
     def poll(self, slot: int) -> List[HarqResolution]:
         """Resolve all attempts due at *slot*.
@@ -136,12 +146,12 @@ class HarqEntity:
         need to account for the resource usage / telemetry of the failed
         attempt.
         """
-        due = [entry for entry in self._pending if entry[0] == slot]
-        if not due:
+        due = self._pending.pop(slot, None)
+        if due is None:
             return []
-        self._pending = [entry for entry in self._pending if entry[0] != slot]
+        self._n_pending -= len(due)
         resolutions: List[HarqResolution] = []
-        for _, tb, attempt, initial_bler in due:
+        for tb, attempt, initial_bler in due:
             p_fail = self._attempt_bler(tb, attempt, initial_bler)
             failed = bool(self._rng.random() < p_fail)
             if not failed:
@@ -156,8 +166,9 @@ class HarqEntity:
                 )
                 continue
             self.total_retransmissions += 1
-            next_slot = slot + self.rtt_slots
-            self._pending.append((next_slot, tb, attempt + 1, initial_bler))
+            self._schedule(
+                slot + self.rtt_slots, tb, attempt + 1, initial_bler
+            )
             resolutions.append(
                 HarqResolution(tb, HarqOutcome.RETRANSMIT, attempt, slot)
             )
@@ -165,4 +176,4 @@ class HarqEntity:
 
     def pending_count(self) -> int:
         """Number of TBs still awaiting resolution."""
-        return len(self._pending)
+        return self._n_pending

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.ran.simulator import RanSimulator
-from repro.units import ms
+from repro.units import NEVER_US, ms
 
 
 @dataclass
@@ -66,8 +66,12 @@ class AccessLink:
 
     ``up`` is client → internet, ``down`` is internet → client.  Senders
     call :meth:`send_up` / :meth:`send_down`; the session polls
-    :meth:`poll` each step for (packet_id, deliver_us) completions.
+    :meth:`poll` for (packet_id, deliver_us) completions on every step
+    at or after :attr:`next_delivery_us`.
     """
+
+    #: Earliest time :meth:`poll` can return anything; 0 means every step.
+    next_delivery_us: int = 0
 
     def send_up(self, packet_id: int, size_bytes: int, now_us: int) -> None:
         raise NotImplementedError
@@ -97,6 +101,7 @@ class WiredAccess(AccessLink):
         self._heaps: dict = {True: [], False: []}
         self._last_delivery = {True: 0, False: 0}
         self._counter = 0
+        self.next_delivery_us = NEVER_US
 
     def _send(
         self, uplink: bool, packet_id: int, size_bytes: int, now_us: int
@@ -109,6 +114,7 @@ class WiredAccess(AccessLink):
         self._last_delivery[uplink] = arrival
         self._counter += 1
         heapq.heappush(self._heaps[uplink], (arrival, self._counter, packet_id))
+        self.next_delivery_us = min(self.next_delivery_us, arrival)
 
     def send_up(self, packet_id: int, size_bytes: int, now_us: int) -> None:
         self._send(True, packet_id, size_bytes, now_us)
@@ -118,10 +124,14 @@ class WiredAccess(AccessLink):
 
     def poll(self, now_us: int) -> List[Tuple[int, int, bool]]:
         out: List[Tuple[int, int, bool]] = []
+        next_delivery = NEVER_US
         for uplink, heap in self._heaps.items():
             while heap and heap[0][0] <= now_us:
                 arrival, _, packet_id = heapq.heappop(heap)
                 out.append((packet_id, arrival, uplink))
+            if heap:
+                next_delivery = min(next_delivery, heap[0][0])
+        self.next_delivery_us = next_delivery
         return out
 
 
@@ -138,10 +148,10 @@ class CellularAccess(AccessLink):
         self.ran.send_downlink(packet_id, size_bytes, now_us)
 
     def poll(self, now_us: int) -> List[Tuple[int, int, bool]]:
-        return [
-            (d.packet_id, d.delivered_us, d.is_uplink)
-            for d in self.ran.step_to(now_us)
-        ]
+        deliveries = self.ran.step_to(now_us)
+        if not deliveries:
+            return []
+        return [(d.packet_id, d.delivered_us, d.is_uplink) for d in deliveries]
 
     @property
     def step_us(self) -> int:
@@ -158,6 +168,8 @@ class InternetSegment:
         self._heap: List[Tuple[int, int, int]] = []
         self._counter = 0
         self._last_delivery = 0
+        #: Earliest time :meth:`poll` can return anything.
+        self.next_delivery_us = NEVER_US
 
     def send(self, packet_id: int, now_us: int) -> None:
         transit = self.delay.transit_us()
@@ -167,10 +179,12 @@ class InternetSegment:
         self._last_delivery = arrival
         self._counter += 1
         heapq.heappush(self._heap, (arrival, self._counter, packet_id))
+        self.next_delivery_us = self._heap[0][0]
 
     def poll(self, now_us: int) -> List[Tuple[int, int]]:
         out: List[Tuple[int, int]] = []
         while self._heap and self._heap[0][0] <= now_us:
             arrival, _, packet_id = heapq.heappop(self._heap)
             out.append((packet_id, arrival))
+        self.next_delivery_us = self._heap[0][0] if self._heap else NEVER_US
         return out

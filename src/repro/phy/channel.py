@@ -20,7 +20,7 @@ size.  We model the per-UE, per-direction SINR as:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -92,6 +92,7 @@ class ChannelModel:
         self._last_update_us: Optional[int] = None
         self._generated_until_us = 0
         self._random_fades: List[FadeEvent] = []
+        self._ou_coefficients: Dict[Tuple[int, int, float], Tuple[float, float]] = {}
 
     # -- internal -----------------------------------------------------------
 
@@ -107,8 +108,14 @@ class ChannelModel:
         if dt <= 0:
             return
         # Exact OU discretisation: x' = x*a + N(0, sigma*sqrt(1-a^2)).
-        a = float(np.exp(-dt / self.shadowing_tau_us))
-        noise_sigma = self.shadowing_sigma_db * float(np.sqrt(1.0 - a * a))
+        # The coefficients depend only on dt, which takes few values.
+        key = (dt, self.shadowing_tau_us, self.shadowing_sigma_db)
+        coefficients = self._ou_coefficients.get(key)
+        if coefficients is None:
+            a = float(np.exp(-dt / self.shadowing_tau_us))
+            noise_sigma = self.shadowing_sigma_db * float(np.sqrt(1.0 - a * a))
+            coefficients = self._ou_coefficients[key] = (a, noise_sigma)
+        a, noise_sigma = coefficients
         self._shadowing_db = self._shadowing_db * a + float(
             self._rng.normal(0.0, noise_sigma)
         )

@@ -15,10 +15,11 @@ the TBS for the same PRB allocation (§5.1.1, Fig. 12).
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
+from typing import Dict, List, Tuple
 
 #: Resource elements per PRB per slot that are usable for data.  A PRB spans
 #: 12 subcarriers over 14 OFDM symbols = 168 REs; we subtract typical DMRS +
@@ -96,6 +97,18 @@ def transport_block_size_bits(n_prb: int, mcs: int) -> int:
     usable data REs times the spectral efficiency, quantised to whole bits.
     Returns 0 for empty allocations.
     """
+    tbs = _TBS_MEMO.get((n_prb, mcs))
+    if tbs is None:
+        tbs = _TBS_MEMO[(n_prb, mcs)] = _tbs_bits(n_prb, mcs)
+    return tbs
+
+
+#: (n_prb, mcs) -> transport_block_size_bits; a cell has a few hundred
+#: PRB counts and 28 MCS indices, so this stays small.
+_TBS_MEMO: Dict[Tuple[int, int], int] = {}
+
+
+def _tbs_bits(n_prb: int, mcs: int) -> int:
     if n_prb <= 0:
         return 0
     if not 0 <= mcs <= MAX_MCS:
@@ -123,11 +136,10 @@ def cqi_from_sinr(sinr_db: float) -> int:
 
     CQI 0 means "out of range" — no transmission should be attempted.
     """
-    cqi = 0
-    for i, threshold in enumerate(_CQI_SINR_THRESHOLDS_DB):
-        if sinr_db >= threshold:
-            cqi = i + 1
-    return cqi
+    if sinr_db != sinr_db:
+        return 0  # NaN clears no threshold
+    # The thresholds ascend: the CQI is how many of them sinr_db clears.
+    return bisect.bisect_right(_CQI_SINR_THRESHOLDS_DB, sinr_db)
 
 
 def mcs_from_cqi(cqi: int, conservative_offset: int = 0) -> int:

@@ -157,6 +157,12 @@ class RanSimulator:
         self._buffer_log_period_slots = max(
             1, 10_000 // self.grid.slot_us
         )  # every 10 ms
+        # Directions each phase of the duplexing pattern carries.
+        pattern = [
+            self.grid.slot_type(i) for i in range(self.grid.pattern_length)
+        ]
+        self._carries_dl = [t.carries_downlink for t in pattern]
+        self._carries_ul = [t.carries_uplink for t in pattern]
 
         scheduler = DlScheduler(
             total_prbs=self.grid.n_prb,
@@ -234,16 +240,19 @@ class RanSimulator:
 
     def _step_slot(self, slot: int) -> None:
         ts = self.grid.slot_start_us(slot)
-        self.rrc.step(ts)
-        self._handle_new_rrc_transitions(ts)
-        connected = self.rrc.is_connected(ts)
-        slot_type = self.grid.slot_type(slot)
+        rrc = self.rrc
+        rrc.step(ts)
+        if self._seen_rrc_transitions < len(rrc.transitions):
+            self._handle_new_rrc_transitions(ts)
+        connected = rrc.is_connected(ts)
+        phase = slot % len(self._carries_dl)
 
         # HARQ resolutions and RLC recoveries happen regardless of slot
         # type (they are timing abstractions for decode/ARQ completion).
         for direction in (self.ul, self.dl):
             self._resolve_harq(direction, slot, ts)
-            self._process_rlc_recoveries(direction, slot, ts)
+            if direction.rlc_recoveries:
+                self._process_rlc_recoveries(direction, slot, ts)
 
         # BSRs ride uplink control channels, which exist in every slot of
         # practical TDD configurations; the data grant itself still only
@@ -253,9 +262,9 @@ class RanSimulator:
                 slot, self.ul.buffer.buffered_bytes()
             )
 
-        if slot_type.carries_downlink:
+        if self._carries_dl[phase]:
             self._schedule_downlink(slot, ts, connected)
-        if slot_type.carries_uplink:
+        if self._carries_ul[phase]:
             self._schedule_uplink(slot, ts, connected)
 
         if slot % self._buffer_log_period_slots == 0:
@@ -289,7 +298,7 @@ class RanSimulator:
 
     def _schedule_downlink(self, slot: int, ts: int, connected: bool) -> None:
         direction = self.dl
-        cross_demands = list(direction.cross.demands_at(ts))
+        cross_demands = direction.cross.demands_at(ts)
         exp_prbs = 0
         mcs = 0
         if connected and direction.buffer.buffered_bytes() > 0:
@@ -310,7 +319,7 @@ class RanSimulator:
         direction = self.ul
         loop = direction.grant_loop
         assert loop is not None
-        cross_demands = list(direction.cross.demands_at(ts))
+        cross_demands = direction.cross.demands_at(ts)
 
         if connected:
             loop.maybe_issue_proactive(slot)
@@ -487,26 +496,28 @@ class RanSimulator:
     ) -> None:
         if self.collector is None:
             return
+        record_dci = self.collector.record_dci
+        mcs = self.CROSS_TRAFFIC_MCS
         for rnti, prbs in allocations:
             if prbs <= 0:
                 continue
-            tbs = transport_block_size_bits(prbs, self.CROSS_TRAFFIC_MCS)
-            self.collector.record_dci(
+            tbs = transport_block_size_bits(prbs, mcs)
+            record_dci(
                 DciRecord(
                     ts_us=ts,
                     slot=slot,
                     rnti=rnti,
                     is_uplink=is_uplink,
                     n_prb=prbs,
-                    mcs=self.CROSS_TRAFFIC_MCS,
+                    mcs=mcs,
                     tbs_bits=tbs,
                     used_bytes=tbs // 8,
                 )
             )
 
     def _log_buffers(self, ts: int) -> None:
-        if self.collector is None:
-            return
+        if self.collector is None or not self.collector.gnb_log_available:
+            return  # the collector would drop the records
         for direction in (self.ul, self.dl):
             self.collector.record_gnb_log(
                 GnbLogRecord(

@@ -16,7 +16,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.rtc.encoder import EncoderAdapter
-from repro.rtc.gcc.controller import GccController, GccOutput, PacketResult
+from repro.rtc.gcc.controller import GccController, GccOutput
 from repro.rtc.pacer import Pacer
 from repro.rtc.receiver import MediaReceiver
 from repro.rtc.rtcp import FeedbackPayload
@@ -44,15 +44,34 @@ class ClientConfig:
 
 
 class WebRtcClient:
-    """One endpoint of a two-party call."""
+    """One endpoint of a two-party call.
+
+    The client lives on a clock of *tick_us* ticks but only needs to be
+    stepped on ticks with work: ones that deliver packets to it, and
+    ones at or after :attr:`next_wake_us`.  A step first replays the
+    ticks skipped since the previous one; on those nothing was due, so
+    only the jitter buffers' target delays and the pacer's budget move,
+    tick by tick, exactly as if each tick had been stepped.
+    """
 
     def __init__(
         self,
         config: ClientConfig,
         packet_id_alloc: Callable[[], int],
         collector: Optional[TelemetryCollector] = None,
+        tick_us: int = 1_000,
     ) -> None:
         self.config = config
+        self.tick_us = tick_us
+        #: The last tick the client was stepped or caught up to.
+        self.now_us = 0
+        #: The earliest tick at which the client has work without any
+        #: arrival; every tick before it may be skipped.
+        self.next_wake_us = 0
+        # The same for each jitter buffer alone; it changes only when
+        # the buffer steps or receives a packet.
+        self._video_wake_us = 0
+        self._audio_wake_us = 0
         self.name = config.name
         self._alloc = packet_id_alloc
         self.collector = collector
@@ -97,7 +116,11 @@ class WebRtcClient:
     def step(
         self, now_us: int, arrivals: List[Tuple[Packet, int]]
     ) -> List[Packet]:
-        """Advance the client to *now_us*.
+        """Advance the client to the tick *now_us*.
+
+        Callers step every tick that delivers packets to the client or
+        is at or after :attr:`next_wake_us`; the ticks in between are
+        replayed first (:meth:`catch_up`).
 
         Args:
             arrivals: (packet, arrival_us) pairs delivered this step.
@@ -105,13 +128,20 @@ class WebRtcClient:
         Returns:
             Packets released onto the network this step.
         """
+        if now_us - self.now_us > self.tick_us:
+            self.catch_up(now_us - self.tick_us)
+        self.now_us = now_us
+        media_arrived = False
         for packet, arrival_us in arrivals:
             self._on_arrival(packet, arrival_us, now_us)
-        self.receiver.step(now_us)
+            media_arrived = media_arrived or packet.stream is not StreamKind.RTCP
+        self._step_playout(now_us, media_arrived)
 
         outgoing: List[Packet] = []
-        self._maybe_capture_video(now_us)
-        self._maybe_capture_audio(now_us)
+        if now_us >= self._next_frame_us:
+            self._capture_video(now_us)
+        if now_us >= self._next_audio_us:
+            self._capture_audio(now_us)
 
         if now_us >= self._next_process_us:
             self._last_output = self.gcc.process(now_us)
@@ -137,7 +167,54 @@ class WebRtcClient:
         if now_us >= self._next_stats_us:
             self._record_stats(now_us)
             self._next_stats_us += self.config.stats_interval_us
+        self.next_wake_us = self._next_wake(now_us)
         return outgoing
+
+    def catch_up(self, now_us: int) -> None:
+        """Replay the ticks after the last step up to *now_us*, none of
+        which reaches :attr:`next_wake_us` or delivers a packet."""
+        n_ticks = (now_us - self.now_us) // self.tick_us
+        if n_ticks <= 0:
+            return
+        self.receiver.skip_ticks(n_ticks, self.tick_us)
+        self.pacer.skip_ticks(n_ticks, self.tick_us)
+        self.now_us += n_ticks * self.tick_us
+
+    def _step_playout(self, now_us: int, media_arrived: bool) -> None:
+        """``receiver.step(now_us)``, less the work a buffer provably has
+        not got: one that received nothing and whose wake is still
+        ahead only decays its target, exactly as its step would."""
+        video, audio = self.receiver.video, self.receiver.audio
+        if media_arrived:
+            self.receiver.step(now_us)
+            self._video_wake_us = video.next_wake_us(now_us, self.tick_us)
+            self._audio_wake_us = audio.next_wake_us(now_us, self.tick_us)
+            return
+        if now_us >= self._video_wake_us:
+            video.step(now_us)
+            self._video_wake_us = video.next_wake_us(now_us, self.tick_us)
+        else:
+            video.skip_ticks(1, self.tick_us)
+        if now_us >= self._audio_wake_us:
+            audio.step(now_us)
+            self._audio_wake_us = audio.next_wake_us(now_us, self.tick_us)
+        else:
+            audio.skip_ticks(1, self.tick_us)
+
+    def _next_wake(self, now_us: int) -> int:
+        """The first tick after *now_us* on which :meth:`step` has work
+        even if nothing arrives: a timer falls due, the pacer releases
+        a packet, or a jitter buffer plays, drops, conceals or freezes."""
+        wake = min(
+            self._next_frame_us,
+            self._next_audio_us,
+            self._next_process_us,
+            self._next_feedback_us,
+            self._next_stats_us,
+            self._video_wake_us,
+            self._audio_wake_us,
+        )
+        return self.pacer.next_release_us(now_us, self.tick_us, wake)
 
     # -- inbound ---------------------------------------------------------------
 
@@ -146,16 +223,9 @@ class WebRtcClient:
             payload = packet.payload
             if isinstance(payload, FeedbackPayload):
                 if payload.entries:
-                    results = [
-                        PacketResult(
-                            seq=e.seq,
-                            send_us=e.send_us,
-                            arrival_us=e.arrival_us,
-                            size_bytes=e.size_bytes,
-                        )
-                        for e in payload.entries
-                    ]
-                    self._last_output = self.gcc.on_feedback(results, now_us)
+                    self._last_output = self.gcc.on_feedback(
+                        payload.entries, now_us
+                    )
                 for seq in payload.nacks:
                     self._retransmit(seq, now_us)
         else:
@@ -183,9 +253,7 @@ class WebRtcClient:
 
     # -- media generation ------------------------------------------------------
 
-    def _maybe_capture_video(self, now_us: int) -> None:
-        if now_us < self._next_frame_us:
-            return
+    def _capture_video(self, now_us: int) -> None:
         rate = self._last_output.pushback_bps
         # ~90% of the rate goes to video; audio and RTCP take the rest.
         video_rate = max(50_000.0, rate * 0.9)
@@ -220,7 +288,7 @@ class WebRtcClient:
             self._sent_frame_times.popleft()
         self._next_frame_us = now_us + int(1e6 / max(fps, 1.0))
 
-    def _maybe_capture_audio(self, now_us: int) -> None:
+    def _capture_audio(self, now_us: int) -> None:
         while now_us >= self._next_audio_us:
             self.pacer.enqueue(
                 Packet(

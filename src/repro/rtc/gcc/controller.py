@@ -28,16 +28,13 @@ from repro.rtc.gcc.loss_based import LossBasedControl
 from repro.rtc.gcc.overuse import BandwidthUsage, OveruseDetector
 from repro.rtc.gcc.pushback import PushbackController
 from repro.rtc.gcc.trendline import TrendlineEstimator
+from repro.rtc.rtcp import FeedbackEntry
 
 
-@dataclass(frozen=True)
-class PacketResult:
-    """One packet's fate as reported by transport-wide feedback."""
-
-    seq: int
-    send_us: int
-    arrival_us: Optional[int]  # None = lost
-    size_bytes: int
+#: One packet's fate as reported by transport-wide feedback: the
+#: feedback entries themselves, so a feedback payload feeds
+#: :meth:`GccController.on_feedback` as it arrives.
+PacketResult = FeedbackEntry
 
 
 @dataclass(frozen=True)

@@ -69,14 +69,12 @@ class TrendlineEstimator:
 
     def _linear_fit_slope(self) -> Optional[float]:
         n = len(self._history)
-        sum_x = sum(x for x, _ in self._history)
-        sum_y = sum(y for _, y in self._history)
-        mean_x = sum_x / n
-        mean_y = sum_y / n
-        numerator = sum(
-            (x - mean_x) * (y - mean_y) for x, y in self._history
-        )
-        denominator = sum((x - mean_x) ** 2 for x, _ in self._history)
+        xs = [x for x, _ in self._history]
+        ys = [y for _, y in self._history]
+        mean_x = sum(xs) / n
+        mean_y = sum(ys) / n
+        numerator = sum([(x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)])
+        denominator = sum([(x - mean_x) ** 2 for x in xs])
         if denominator == 0:
             return None
         return numerator / denominator

@@ -20,8 +20,65 @@ Semantics used by the stats (matching the paper's event conditions):
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
+
+from repro.units import NEVER_US
+
+
+def _decayed(target: float, floor: float, step_ms: float, n_ticks: int) -> float:
+    """*target* after *n_ticks* ticks of the buffers' ``_decay_target``
+    rule, each shrinking it by *step_ms*: a target above *floor* moves
+    towards it without crossing it, one at or below it (or NaN) stays.
+    ``x if x > floor else floor`` is ``max(floor, x)``, NaN included.
+    """
+    for _ in range(n_ticks):
+        if not target > floor:
+            break
+        target -= step_ms
+        if not target > floor:
+            target = floor
+    return target
+
+
+def _first_due_tick(
+    now_us: int,
+    tick_us: int,
+    target: float,
+    floor: float,
+    step_ms: float,
+    capture_us: int,
+    not_before_us: int,
+) -> int:
+    """First tick ``now_us + k * tick_us`` (k >= 1) at which a unit
+    captured at *capture_us* is due: ``t >= max(capture_us +
+    int(target_k * 1000), not_before_us)``, where ``target_k`` is
+    *target* after k ticks of decay.
+
+    The target only shrinks, so the tick the current target makes due
+    (``k_hi``) is due; by then it has shrunk by at most ``k_hi *
+    step_ms`` (plus rounding), so no tick before the one that bound
+    makes due can be, and only the ticks in between are checked.
+    """
+    k_hi = max(
+        1,
+        -(-(max(capture_us + int(target * 1000), not_before_us) - now_us)
+          // tick_us),
+    )
+    if not target > floor:
+        return now_us + k_hi * tick_us
+    lowest = max(floor, target - k_hi * step_ms - 1e-6)
+    earliest = max(capture_us + int(lowest * 1000), not_before_us)
+    k = max(1, -(-(earliest - now_us) // tick_us))
+    if k < k_hi:
+        target = _decayed(target, floor, step_ms, k)
+        while k < k_hi:
+            if now_us + k * tick_us >= capture_us + int(target * 1000):
+                break
+            k += 1
+            target = _decayed(target, floor, step_ms, 1)
+    return now_us + k * tick_us
 
 
 @dataclass
@@ -78,6 +135,10 @@ class VideoJitterBuffer:
     _frozen_since_us: Optional[int] = None
     _max_finished_frame_id: int = -1
     played: List[PlayedFrame] = field(default_factory=list)
+    #: Min-heap of the played times at or after ``_fps_cutoff_us``, the
+    #: cutoff of the last :meth:`fps_over` call.
+    _recent_played_us: List[int] = field(default_factory=list)
+    _fps_cutoff_us: Optional[int] = None
     total_freeze_us: int = 0
     freeze_count: int = 0
     dropped_frames: int = 0
@@ -188,6 +249,8 @@ class VideoJitterBuffer:
                 resolution_p=frame.resolution_p,
             )
         )
+        if self._fps_cutoff_us is None or playout_us >= self._fps_cutoff_us:
+            heapq.heappush(self._recent_played_us, playout_us)
         self._last_played_us = playout_us
         self._max_finished_frame_id = max(self._max_finished_frame_id, frame_id)
         del self._frames[frame_id]
@@ -211,6 +274,48 @@ class VideoJitterBuffer:
                 floor, self.target_delay_ms - self.decay_ms_per_s * dt_s
             )
 
+    # -- idle ticks -----------------------------------------------------------
+
+    def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
+        """Apply *n_ticks* calls of :meth:`step`, *tick_us* apart, on
+        which nothing is due (see :meth:`next_wake_us`): only the target
+        decays, by the same expressions, in the same order."""
+        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
+        if self.target_delay_ms > floor:
+            self.target_delay_ms = _decayed(
+                self.target_delay_ms,
+                floor,
+                self.decay_ms_per_s * (tick_us / 1e6),
+                n_ticks,
+            )
+        self._last_decay_us += n_ticks * tick_us
+
+    def next_wake_us(self, now_us: int, tick_us: int) -> int:
+        """First tick after *now_us* (the last :meth:`step`) at which
+        ``step`` would play or drop a frame or start a freeze, assuming
+        no packet arrives and ticks are *tick_us* apart."""
+        wake = NEVER_US
+        if self._last_played_us is not None and self._frozen_since_us is None:
+            threshold_us = max(3 * self.frame_interval_us, 150_000)
+            wake = self._last_played_us + threshold_us
+        if not self._frames:
+            return wake
+        frame = self._frames[min(self._frames)]
+        if frame.complete_us is None:
+            return min(wake, frame.capture_us + self.incomplete_timeout_us + 1)
+        return min(
+            wake,
+            _first_due_tick(
+                now_us,
+                tick_us,
+                self.target_delay_ms,
+                self.minimum_delay_ms(),
+                self.decay_ms_per_s * (tick_us / 1e6),
+                frame.capture_us,
+                frame.complete_us,
+            ),
+        )
+
     # -- stats -------------------------------------------------------------------
 
     def is_frozen(self, now_us: int) -> bool:
@@ -229,9 +334,17 @@ class VideoJitterBuffer:
         return self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
 
     def fps_over(self, now_us: int, window_us: int = 1_000_000) -> float:
+        """Frames per second played at or after ``now_us - window_us``."""
         cutoff = now_us - window_us
-        count = sum(1 for f in self.played if f.played_us >= cutoff)
-        return count * 1e6 / window_us
+        if self._fps_cutoff_us is not None and cutoff < self._fps_cutoff_us:
+            # The cutoff moved back past times the heap has dropped.
+            count = sum(1 for f in self.played if f.played_us >= cutoff)
+            return count * 1e6 / window_us
+        recent = self._recent_played_us
+        while recent and recent[0] < cutoff:
+            heapq.heappop(recent)
+        self._fps_cutoff_us = cutoff
+        return len(recent) * 1e6 / window_us
 
     def last_resolution(self) -> int:
         if not self.played:
@@ -336,6 +449,39 @@ class AudioJitterBuffer:
             self.target_delay_ms = max(
                 floor, self.target_delay_ms - self.decay_ms_per_s * dt_s
             )
+
+    def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
+        """Apply *n_ticks* idle calls of :meth:`step`, *tick_us* apart
+        (see :meth:`VideoJitterBuffer.skip_ticks`)."""
+        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
+        if self.target_delay_ms > floor:
+            self.target_delay_ms = _decayed(
+                self.target_delay_ms,
+                floor,
+                self.decay_ms_per_s * (tick_us / 1e6),
+                n_ticks,
+            )
+        self._last_decay_us += n_ticks * tick_us
+
+    def next_wake_us(self, now_us: int, tick_us: int) -> int:
+        """First tick after *now_us* at which :meth:`step` would play or
+        conceal a packet, assuming no arrivals."""
+        if self._next_play_seq is None:
+            return NEVER_US
+        capture = self._captures.get(self._next_play_seq)
+        if capture is None:
+            capture = self._estimated_capture(self._next_play_seq)
+            if capture is None:
+                return NEVER_US
+        return _first_due_tick(
+            now_us,
+            tick_us,
+            self.target_delay_ms,
+            self.minimum_delay_ms(),
+            self.decay_ms_per_s * (tick_us / 1e6),
+            capture,
+            now_us,
+        )
 
     def current_delay_ms(self) -> float:
         return self._last_buffer_delay_ms

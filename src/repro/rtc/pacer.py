@@ -37,15 +37,19 @@ class Pacer:
     def enqueue(self, packet: Packet) -> None:
         self._queue.append(packet)
 
+    def _topped_up(self, budget: float, dt_us: int) -> float:
+        """*budget* after *dt_us* of accrual at the pacing rate."""
+        pacing_rate = self.rate_bps * self.pacing_factor
+        budget += pacing_rate / 8.0 * dt_us / 1e6
+        # Cap the budget so idle periods cannot bank an unbounded burst.
+        return min(budget, pacing_rate / 8.0 * 0.04)
+
     def drain(self, now_us: int) -> List[Packet]:
         """Release packets allowed by the budget accumulated since the
         last drain; returns them stamped with their release time."""
         dt_us = max(0, now_us - self._last_drain_us)
         self._last_drain_us = now_us
-        pacing_rate = self.rate_bps * self.pacing_factor
-        self._budget_bytes += pacing_rate / 8.0 * dt_us / 1e6
-        # Cap the budget so idle periods cannot bank an unbounded burst.
-        self._budget_bytes = min(self._budget_bytes, pacing_rate / 8.0 * 0.04)
+        self._budget_bytes = self._topped_up(self._budget_bytes, dt_us)
         released: List[Packet] = []
         while self._queue:
             head = self._queue[0]
@@ -57,6 +61,47 @@ class Pacer:
             head.sent_us = now_us
             released.append(head)
         return released
+
+    def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
+        """Apply *n_ticks* calls of :meth:`drain`, *tick_us* apart, that
+        release nothing: only the budget accrues, tick by tick.  Once
+        it sits at its cap it stays there."""
+        pacing_rate = self.rate_bps * self.pacing_factor
+        top_up = pacing_rate / 8.0 * tick_us / 1e6
+        cap = pacing_rate / 8.0 * 0.04
+        budget = self._budget_bytes
+        for _ in range(n_ticks):
+            topped = budget + top_up
+            if cap < topped:  # min(topped, cap)
+                topped = cap
+            if topped == budget:
+                break
+            budget = topped
+        self._budget_bytes = budget
+        self._last_drain_us += n_ticks * tick_us
+
+    def next_release_us(self, now_us: int, tick_us: int, until_us: int) -> int:
+        """First tick after *now_us* (the last :meth:`drain`) whose drain
+        releases a packet, at an unchanged rate; *until_us* if that is
+        not before *until_us*."""
+        if not self._queue:
+            return until_us
+        head = self._queue[0]
+        if head.stream.value not in _PACED_STREAMS:
+            return min(until_us, now_us + tick_us)
+        pacing_rate = self.rate_bps * self.pacing_factor
+        top_up = pacing_rate / 8.0 * tick_us / 1e6
+        cap = pacing_rate / 8.0 * 0.04
+        budget = self._budget_bytes
+        t = now_us + tick_us
+        while t < until_us:
+            budget += top_up
+            if cap < budget:  # min(budget, cap)
+                budget = cap
+            if not head.size_bytes > budget:
+                return t
+            t += tick_us
+        return until_us
 
     @property
     def queue_bytes(self) -> int:

@@ -74,10 +74,14 @@ class TwoPartySession:
         )
         ids = itertools.count()
         alloc = lambda: next(ids)  # noqa: E731 - tiny shared allocator
-        self.client_a = WebRtcClient(client_a, alloc, self.collector)
-        self.client_b = WebRtcClient(client_b, alloc, self.collector)
         self._packets: Dict[int, Packet] = {}
         self.step_us = min(access_a.step_us, access_b.step_us)
+        self.client_a = WebRtcClient(
+            client_a, alloc, self.collector, tick_us=self.step_us
+        )
+        self.client_b = WebRtcClient(
+            client_b, alloc, self.collector, tick_us=self.step_us
+        )
         self._now_us = 0
         # Deterministic per-step callbacks ``hook(session, now_us)`` —
         # the seam adversarial intervention axes (repro.causal) use to
@@ -105,35 +109,44 @@ class TwoPartySession:
     def _pump_access(
         self, now_us: int
     ) -> Tuple[List[Tuple[Packet, int]], List[Tuple[Packet, int]]]:
-        """Move packets through both accesses; return per-client arrivals."""
+        """Move packets through both accesses; return per-client arrivals.
+
+        A link is polled only once *now_us* reaches its
+        ``next_delivery_us`` (a poll before it would return nothing).
+        """
         arrivals_a: List[Tuple[Packet, int]] = []
         arrivals_b: List[Tuple[Packet, int]] = []
-        for pid, ts, was_up in self.access_a.poll(now_us):
-            packet = self._packets.get(pid)
-            if packet is None:
-                continue
-            if was_up:
-                self.internet_ab.send(pid, ts)
-            else:
-                self.collector.record_packet_received(pid, ts)
-                arrivals_a.append((packet, ts))
-        for pid, ts, was_up in self.access_b.poll(now_us):
-            packet = self._packets.get(pid)
-            if packet is None:
-                continue
-            if was_up:
-                self.internet_ba.send(pid, ts)
-            else:
-                self.collector.record_packet_received(pid, ts)
-                arrivals_b.append((packet, ts))
-        for pid, ts in self.internet_ab.poll(now_us):
-            packet = self._packets.get(pid)
-            if packet is not None:
-                self.access_b.send_down(pid, packet.size_bytes, ts)
-        for pid, ts in self.internet_ba.poll(now_us):
-            packet = self._packets.get(pid)
-            if packet is not None:
-                self.access_a.send_down(pid, packet.size_bytes, ts)
+        packets = self._packets
+        if now_us >= self.access_a.next_delivery_us:
+            for pid, ts, was_up in self.access_a.poll(now_us):
+                packet = packets.get(pid)
+                if packet is None:
+                    continue
+                if was_up:
+                    self.internet_ab.send(pid, ts)
+                else:
+                    self.collector.record_packet_received(pid, ts)
+                    arrivals_a.append((packet, ts))
+        if now_us >= self.access_b.next_delivery_us:
+            for pid, ts, was_up in self.access_b.poll(now_us):
+                packet = packets.get(pid)
+                if packet is None:
+                    continue
+                if was_up:
+                    self.internet_ba.send(pid, ts)
+                else:
+                    self.collector.record_packet_received(pid, ts)
+                    arrivals_b.append((packet, ts))
+        if now_us >= self.internet_ab.next_delivery_us:
+            for pid, ts in self.internet_ab.poll(now_us):
+                packet = packets.get(pid)
+                if packet is not None:
+                    self.access_b.send_down(pid, packet.size_bytes, ts)
+        if now_us >= self.internet_ba.next_delivery_us:
+            for pid, ts in self.internet_ba.poll(now_us):
+                packet = packets.get(pid)
+                if packet is not None:
+                    self.access_a.send_down(pid, packet.size_bytes, ts)
         return arrivals_a, arrivals_b
 
     # -- main loop ------------------------------------------------------------------
@@ -149,19 +162,34 @@ class TwoPartySession:
         The incremental API the live :class:`~repro.live.sources.SimSource`
         drives batch by batch; :meth:`run` is one advance_to over the
         whole duration.  Returns the clock after stepping (the first
-        multiple of ``step_us`` at or past *target_us*).
+        multiple of ``step_us`` at or past *target_us*), with both
+        clients caught up to it.
+
+        A client is stepped on the ticks that deliver packets to it or
+        reach its ``next_wake_us``, and on every tick while
+        ``tick_hooks`` is non-empty (hooks may read any client state).
         """
-        while self._now_us < target_us:
-            self._now_us += self.step_us
-            if self.tick_hooks:
-                for hook in self.tick_hooks:
-                    hook(self, self._now_us)
-            arrivals_a, arrivals_b = self._pump_access(self._now_us)
-            out_a = self.client_a.step(self._now_us, arrivals_a)
-            out_b = self.client_b.step(self._now_us, arrivals_b)
-            self._route_outgoing(True, out_a)
-            self._route_outgoing(False, out_b)
-        return self._now_us
+        client_a, client_b = self.client_a, self.client_b
+        hooks = self.tick_hooks
+        now = self._now_us
+        while now < target_us:
+            now += self.step_us
+            self._now_us = now
+            for hook in hooks:
+                hook(self, now)
+            arrivals_a, arrivals_b = self._pump_access(now)
+            out_a = out_b = None
+            if arrivals_a or hooks or now >= client_a.next_wake_us:
+                out_a = client_a.step(now, arrivals_a)
+            if arrivals_b or hooks or now >= client_b.next_wake_us:
+                out_b = client_b.step(now, arrivals_b)
+            if out_a:
+                self._route_outgoing(True, out_a)
+            if out_b:
+                self._route_outgoing(False, out_b)
+        client_a.catch_up(now)
+        client_b.catch_up(now)
+        return now
 
     def run(self, duration_us: int) -> SessionResult:
         """Simulate the call for *duration_us* and return all telemetry."""

@@ -21,6 +21,9 @@ BITS_PER_BYTE = 8
 KBPS = 1_000.0
 MBPS = 1_000_000.0
 
+#: A timestamp later than any simulated time: "no event pending".
+NEVER_US = 1 << 62
+
 
 def us(value: float) -> int:
     """Return *value* microseconds as an integer microsecond count."""

@@ -1,5 +1,7 @@
 """GCC rate control: AIMD, loss-based bound, ack bitrate, pushback."""
 
+import random
+
 import pytest
 
 from repro.rtc.gcc.ack_bitrate import AckedBitrateEstimator
@@ -134,6 +136,24 @@ def test_ack_bitrate_window_expires():
     estimator.on_acked(10_000, 1200)
     assert estimator.bitrate_bps() is not None
     assert estimator.bitrate_bps(now_us=10_000_000) is None
+
+
+def test_ack_bitrate_running_total_equals_window_sum():
+    rng = random.Random(3)
+    estimator = AckedBitrateEstimator(window_us=500_000)
+    t = 0
+    for _ in range(5_000):
+        t += rng.randint(0, 40_000)
+        estimator.on_acked(t, rng.randint(60, 1_500))
+        if rng.random() < 0.2:
+            estimator.bitrate_bps(now_us=t + rng.randint(0, 600_000))
+        window = estimator._samples
+        assert estimator._total_bytes == sum(size for _, size in window)
+        if len(window) >= 2:
+            span = max(window[-1][0] - window[0][0], 250_000)
+            assert estimator.bitrate_bps() == (
+                sum(size for _, size in window) * 8.0 * 1e6 / span
+            )
 
 
 # -- Pushback ---------------------------------------------------------------------------

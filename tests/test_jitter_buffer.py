@@ -1,8 +1,14 @@
 """Adaptive jitter buffers: playout, adaptation, freezes, concealment."""
 
+import random
+
 import pytest
 
-from repro.rtc.jitter_buffer import AudioJitterBuffer, VideoJitterBuffer
+from repro.rtc.jitter_buffer import (
+    AudioJitterBuffer,
+    VideoJitterBuffer,
+    _PendingFrame,
+)
 
 
 def _feed_frames(buffer, n, capture_interval_us=33_333, delay_us=30_000):
@@ -99,6 +105,42 @@ def test_fps_measurement():
         buffer.step(t)
     fps = buffer.fps_over(now_us=2_000_000)
     assert 20 <= fps <= 35
+
+
+def _fps_full_scan(buffer, now_us, window_us=1_000_000):
+    cutoff = now_us - window_us
+    count = sum(1 for f in buffer.played if f.played_us >= cutoff)
+    return count * 1e6 / window_us
+
+
+def test_fps_over_matches_full_scan():
+    """The heap of recent playout times counts exactly what a scan of
+    every played frame counts, for in-order and out-of-order playout
+    times and for cutoffs that move forward or back."""
+    rng = random.Random(11)
+    for _ in range(50):
+        buffer = VideoJitterBuffer()
+        frame_id = 0
+        now = 0
+        for _ in range(rng.randint(20, 200)):
+            now += rng.randint(0, 60_000)
+            frame = buffer._frames[frame_id] = _PendingFrame(
+                capture_us=now,
+                n_packets=1,
+                received=1,
+                complete_us=now - rng.randint(0, 500_000),
+                resolution_p=720,
+            )
+            # Out-of-order playout times: some frames play "in the past".
+            played_us = now - rng.choice((0, 0, 0, rng.randint(0, 2_000_000)))
+            buffer._play(frame_id, frame, played_us, now)
+            frame_id += 1
+            if rng.random() < 0.3:
+                query = now - rng.choice((0, 0, rng.randint(0, 3_000_000)))
+                window = rng.choice((1_000_000, 500_000))
+                assert buffer.fps_over(query, window) == _fps_full_scan(
+                    buffer, query, window
+                )
 
 
 def test_audio_stable_no_concealment():
