@@ -22,10 +22,15 @@ retransmissions inflate individual packet delays (Figs. 17–18).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.mac.crosstraffic import CrossTrafficModel
-from repro.mac.harq import HarqEntity, HarqOutcome, TransportBlock
+from repro.mac.harq import (
+    HarqEntity,
+    HarqOutcome,
+    HarqResolution,
+    TransportBlock,
+)
 from repro.mac.scheduler import DlScheduler, prbs_needed
 from repro.mac.ulgrant import UlGrantLoop
 from repro.phy.cell import CellConfig
@@ -152,7 +157,6 @@ class RanSimulator:
         self._next_tb_id = 0
         self._current_slot = 0
         self._deliveries: List[RanDelivery] = []
-        self._packet_sizes: Dict[int, int] = {}
         self._seen_rrc_transitions = 0
         self._buffer_log_period_slots = max(
             1, 10_000 // self.grid.slot_us
@@ -210,7 +214,6 @@ class RanSimulator:
         direction.reassembly.register_packet(
             packet_id, placed.start_offset, placed.end_offset, now_us
         )
-        self._packet_sizes[packet_id] = size_bytes
 
     # -- introspection --------------------------------------------------------
 
@@ -250,7 +253,9 @@ class RanSimulator:
         # HARQ resolutions and RLC recoveries happen regardless of slot
         # type (they are timing abstractions for decode/ARQ completion).
         for direction in (self.ul, self.dl):
-            self._resolve_harq(direction, slot, ts)
+            resolutions = direction.harq.poll(slot)
+            if resolutions:
+                self._resolve_harq(direction, resolutions, ts)
             if direction.rlc_recoveries:
                 self._process_rlc_recoveries(direction, slot, ts)
 
@@ -395,8 +400,10 @@ class RanSimulator:
 
     # -- HARQ / RLC resolution ------------------------------------------------------
 
-    def _resolve_harq(self, direction: _Direction, slot: int, ts: int) -> None:
-        for resolution in direction.harq.poll(slot):
+    def _resolve_harq(
+        self, direction: _Direction, resolutions: List[HarqResolution], ts: int
+    ) -> None:
+        for resolution in resolutions:
             tb = resolution.tb
             self._record_dci(direction, tb, resolution.attempt, ts, resolution)
             if resolution.outcome is HarqOutcome.DECODED:

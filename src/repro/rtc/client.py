@@ -128,14 +128,30 @@ class WebRtcClient:
         Returns:
             Packets released onto the network this step.
         """
-        if now_us - self.now_us > self.tick_us:
-            self.catch_up(now_us - self.tick_us)
+        # Ticks since the last step, all idle, are replayed first; each
+        # jitter buffer with nothing due this tick either replays it too.
+        idle = (now_us - self.now_us) // self.tick_us - 1
         self.now_us = now_us
-        media_arrived = False
-        for packet, arrival_us in arrivals:
-            self._on_arrival(packet, arrival_us, now_us)
-            media_arrived = media_arrived or packet.stream is not StreamKind.RTCP
-        self._step_playout(now_us, media_arrived)
+        if idle > 0:
+            self.pacer.skip_ticks(idle, self.tick_us)
+        receiver = self.receiver
+        if any(packet.stream is not StreamKind.RTCP for packet, _ in arrivals):
+            if idle > 0:
+                receiver.skip_ticks(idle, self.tick_us)
+            for packet, arrival_us in arrivals:
+                self._on_arrival(packet, arrival_us, now_us)
+            receiver.step(now_us)
+            self._video_wake_us = receiver.video.next_wake_us(now_us, self.tick_us)
+            self._audio_wake_us = receiver.audio.next_wake_us(now_us, self.tick_us)
+        else:
+            for packet, arrival_us in arrivals:
+                self._on_arrival(packet, arrival_us, now_us)
+            self._video_wake_us = self._step_buffer(
+                receiver.video, self._video_wake_us, now_us, idle
+            )
+            self._audio_wake_us = self._step_buffer(
+                receiver.audio, self._audio_wake_us, now_us, idle
+            )
 
         outgoing: List[Packet] = []
         if now_us >= self._next_frame_us:
@@ -180,26 +196,17 @@ class WebRtcClient:
         self.pacer.skip_ticks(n_ticks, self.tick_us)
         self.now_us += n_ticks * self.tick_us
 
-    def _step_playout(self, now_us: int, media_arrived: bool) -> None:
-        """``receiver.step(now_us)``, less the work a buffer provably has
-        not got: one that received nothing and whose wake is still
-        ahead only decays its target, exactly as its step would."""
-        video, audio = self.receiver.video, self.receiver.audio
-        if media_arrived:
-            self.receiver.step(now_us)
-            self._video_wake_us = video.next_wake_us(now_us, self.tick_us)
-            self._audio_wake_us = audio.next_wake_us(now_us, self.tick_us)
-            return
-        if now_us >= self._video_wake_us:
-            video.step(now_us)
-            self._video_wake_us = video.next_wake_us(now_us, self.tick_us)
-        else:
-            video.skip_ticks(1, self.tick_us)
-        if now_us >= self._audio_wake_us:
-            audio.step(now_us)
-            self._audio_wake_us = audio.next_wake_us(now_us, self.tick_us)
-        else:
-            audio.skip_ticks(1, self.tick_us)
+    def _step_buffer(self, buffer, wake_us: int, now_us: int, idle: int) -> int:
+        """Replay *idle* ticks of a jitter buffer that received nothing,
+        then step it at *now_us*, or replay that tick too while *now_us*
+        is before its *wake_us*; return its next wake."""
+        if now_us < wake_us:
+            buffer.skip_ticks(idle + 1, self.tick_us)
+            return wake_us
+        if idle > 0:
+            buffer.skip_ticks(idle, self.tick_us)
+        buffer.step(now_us)
+        return buffer.next_wake_us(now_us, self.tick_us)
 
     def _next_wake(self, now_us: int) -> int:
         """The first tick after *now_us* on which :meth:`step` has work

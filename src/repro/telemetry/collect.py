@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from heapq import merge
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from repro.telemetry.records import (
@@ -21,6 +22,10 @@ from repro.telemetry.records import (
     WebRtcStatsRecord,
     record_time_us,
 )
+
+
+_BY_TS = attrgetter("ts_us")
+_BY_SENT = attrgetter("sent_us")
 
 
 class TelemetryCollector:
@@ -118,10 +123,8 @@ class TelemetryCollector:
             cellular_client=self.cellular_client,
             wired_client=self.wired_client,
             gnb_log_available=self.gnb_log_available,
-            dci=sorted(self._dci, key=lambda r: r.ts_us),
-            gnb_log=sorted(self._gnb_log, key=lambda r: r.ts_us),
-            packets=sorted(
-                self._packets.values(), key=lambda r: r.sent_us
-            ),
-            webrtc_stats=sorted(self._webrtc, key=lambda r: r.ts_us),
+            dci=sorted(self._dci, key=_BY_TS),
+            gnb_log=sorted(self._gnb_log, key=_BY_TS),
+            packets=sorted(self._packets.values(), key=_BY_SENT),
+            webrtc_stats=sorted(self._webrtc, key=_BY_TS),
         )
