@@ -135,7 +135,9 @@ class WebRtcClient:
         if idle > 0:
             self.pacer.skip_ticks(idle, self.tick_us)
         receiver = self.receiver
-        if any(packet.stream is not StreamKind.RTCP for packet, _ in arrivals):
+        if arrivals and any(
+            packet.stream is not StreamKind.RTCP for packet, _ in arrivals
+        ):
             if idle > 0:
                 receiver.skip_ticks(idle, self.tick_us)
             for packet, arrival_us in arrivals:

@@ -27,58 +27,85 @@ from typing import Dict, List, Optional, Tuple
 from repro.units import NEVER_US
 
 
-def _decayed(target: float, floor: float, step_ms: float, n_ticks: int) -> float:
-    """*target* after *n_ticks* ticks of the buffers' ``_decay_target``
-    rule, each shrinking it by *step_ms*: a target above *floor* moves
-    towards it without crossing it, one at or below it (or NaN) stays.
-    ``x if x > floor else floor`` is ``max(floor, x)``, NaN included.
+class _AdaptiveTarget:
+    """The target delay both buffers adapt.
+
+    It decays by ``decay_ms_per_s`` towards the floor ``base_delay_ms +
+    jitter_multiplier * jitter`` on every step and never crosses it; a
+    target at or below the floor stays put.  Playout wakes and idle
+    ticks (:meth:`skip_ticks`) follow the same arithmetic, so a buffer
+    stepped only on ticks with work ends in the same state as one
+    stepped on every tick.
     """
-    for _ in range(n_ticks):
-        if not target > floor:
-            break
-        target -= step_ms
-        if not target > floor:
-            target = floor
-    return target
 
+    def minimum_delay_ms(self) -> float:
+        """The adaptive floor (Fig. 3's 'minimum jitter-buffer delay')."""
+        return self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
 
-def _first_due_tick(
-    now_us: int,
-    tick_us: int,
-    target: float,
-    floor: float,
-    step_ms: float,
-    capture_us: int,
-    not_before_us: int,
-) -> int:
-    """First tick ``now_us + k * tick_us`` (k >= 1) at which a unit
-    captured at *capture_us* is due: ``t >= max(capture_us +
-    int(target_k * 1000), not_before_us)``, where ``target_k`` is
-    *target* after k ticks of decay.
+    def _decay_target(self, now_us: int) -> None:
+        dt_s = max(0, now_us - self._last_decay_us) / 1e6
+        self._last_decay_us = now_us
+        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
+        if self.target_delay_ms > floor:
+            self.target_delay_ms = max(
+                floor, self.target_delay_ms - self.decay_ms_per_s * dt_s
+            )
 
-    The target only shrinks, so the tick the current target makes due
-    (``k_hi``) is due; by then it has shrunk by at most ``k_hi *
-    step_ms`` (plus rounding), so no tick before the one that bound
-    makes due can be, and only the ticks in between are checked.
-    """
-    k_hi = max(
-        1,
-        -(-(max(capture_us + int(target * 1000), not_before_us) - now_us)
-          // tick_us),
-    )
-    if not target > floor:
-        return now_us + k_hi * tick_us
-    lowest = max(floor, target - k_hi * step_ms - 1e-6)
-    earliest = max(capture_us + int(lowest * 1000), not_before_us)
-    k = max(1, -(-(earliest - now_us) // tick_us))
-    if k < k_hi:
-        target = _decayed(target, floor, step_ms, k)
-        while k < k_hi:
-            if now_us + k * tick_us >= capture_us + int(target * 1000):
+    @staticmethod
+    def _decayed(target: float, floor: float, step_ms: float, n_ticks: int) -> float:
+        """*target* after *n_ticks* decays of *step_ms*, as
+        :meth:`_decay_target` applies them (``x if x > floor else floor``
+        is ``max(floor, x)``, NaN included)."""
+        for _ in range(n_ticks):
+            if not target > floor:
                 break
-            k += 1
-            target = _decayed(target, floor, step_ms, 1)
-    return now_us + k * tick_us
+            target -= step_ms
+            if not target > floor:
+                target = floor
+        return target
+
+    def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
+        """Apply *n_ticks* calls of ``step``, *tick_us* apart, on which
+        nothing is due (see ``next_wake_us``): only the target decays."""
+        floor = self.minimum_delay_ms()
+        if self.target_delay_ms > floor:
+            self.target_delay_ms = self._decayed(
+                self.target_delay_ms,
+                floor,
+                self.decay_ms_per_s * (tick_us / 1e6),
+                n_ticks,
+            )
+        self._last_decay_us += n_ticks * tick_us
+
+    def _first_due_tick(
+        self, now_us: int, tick_us: int, capture_us: int, not_before_us: int
+    ) -> int:
+        """First tick ``now_us + k * tick_us`` (k >= 1) at which a unit
+        captured at *capture_us* is due: ``t >= max(capture_us +
+        int(target_k * 1000), not_before_us)``, with ``target_k`` the
+        target after k more ticks of decay.
+
+        The target only shrinks, so the tick the current target makes
+        due (``k_hi``) is due; by then it has shrunk by at most ``k_hi *
+        step_ms`` (plus rounding), so no tick before the one that bound
+        makes due can be, and only the ticks in between are checked.
+        """
+        target = self.target_delay_ms
+        floor = self.minimum_delay_ms()
+        step_ms = self.decay_ms_per_s * (tick_us / 1e6)
+        due_us = max(capture_us + int(target * 1000), not_before_us)
+        k_hi = max(1, -(-(due_us - now_us) // tick_us))
+        if not target > floor:
+            return now_us + k_hi * tick_us
+        lowest = max(floor, target - k_hi * step_ms - 1e-6)
+        earliest_us = max(capture_us + int(lowest * 1000), not_before_us)
+        k = max(1, -(-(earliest_us - now_us) // tick_us))
+        if k < k_hi:
+            target = self._decayed(target, floor, step_ms, k)
+            while now_us + k * tick_us < capture_us + int(target * 1000):
+                k += 1
+                target = self._decayed(target, floor, step_ms, 1)
+        return now_us + k * tick_us
 
 
 @dataclass
@@ -106,7 +133,7 @@ class _PendingFrame:
 
 
 @dataclass
-class VideoJitterBuffer:
+class VideoJitterBuffer(_AdaptiveTarget):
     """Frame-level adaptive jitter buffer with freeze accounting.
 
     Args:
@@ -265,30 +292,7 @@ class VideoJitterBuffer:
             self._frozen_since_us = self._last_played_us + threshold_us
             self.freeze_count += 1
 
-    def _decay_target(self, now_us: int) -> None:
-        dt_s = max(0, now_us - self._last_decay_us) / 1e6
-        self._last_decay_us = now_us
-        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
-        if self.target_delay_ms > floor:
-            self.target_delay_ms = max(
-                floor, self.target_delay_ms - self.decay_ms_per_s * dt_s
-            )
-
-    # -- idle ticks -----------------------------------------------------------
-
-    def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
-        """Apply *n_ticks* calls of :meth:`step`, *tick_us* apart, on
-        which nothing is due (see :meth:`next_wake_us`): only the target
-        decays, by the same expressions, in the same order."""
-        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
-        if self.target_delay_ms > floor:
-            self.target_delay_ms = _decayed(
-                self.target_delay_ms,
-                floor,
-                self.decay_ms_per_s * (tick_us / 1e6),
-                n_ticks,
-            )
-        self._last_decay_us += n_ticks * tick_us
+    # -- wake ------------------------------------------------------------------
 
     def next_wake_us(self, now_us: int, tick_us: int) -> int:
         """First tick after *now_us* (the last :meth:`step`) at which
@@ -305,14 +309,8 @@ class VideoJitterBuffer:
             return min(wake, frame.capture_us + self.incomplete_timeout_us + 1)
         return min(
             wake,
-            _first_due_tick(
-                now_us,
-                tick_us,
-                self.target_delay_ms,
-                self.minimum_delay_ms(),
-                self.decay_ms_per_s * (tick_us / 1e6),
-                frame.capture_us,
-                frame.complete_us,
+            self._first_due_tick(
+                now_us, tick_us, frame.capture_us, frame.complete_us
             ),
         )
 
@@ -328,10 +326,6 @@ class VideoJitterBuffer:
         if not self.played:
             return self.target_delay_ms
         return self.played[-1].buffer_delay_ms
-
-    def minimum_delay_ms(self) -> float:
-        """The adaptive floor (Fig. 3's 'minimum jitter-buffer delay')."""
-        return self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
 
     def fps_over(self, now_us: int, window_us: int = 1_000_000) -> float:
         """Frames per second played at or after ``now_us - window_us``."""
@@ -353,7 +347,7 @@ class VideoJitterBuffer:
 
 
 @dataclass
-class AudioJitterBuffer:
+class AudioJitterBuffer(_AdaptiveTarget):
     """Packet-level adaptive audio buffer with concealment accounting.
 
     Audio packets carry ``samples_per_packet`` samples (20 ms at 48 kHz =
@@ -441,28 +435,6 @@ class AudioJitterBuffer:
         known_capture = self._captures[known_seq]
         return known_capture - (known_seq - seq) * self.packet_interval_us
 
-    def _decay_target(self, now_us: int) -> None:
-        dt_s = max(0, now_us - self._last_decay_us) / 1e6
-        self._last_decay_us = now_us
-        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
-        if self.target_delay_ms > floor:
-            self.target_delay_ms = max(
-                floor, self.target_delay_ms - self.decay_ms_per_s * dt_s
-            )
-
-    def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
-        """Apply *n_ticks* idle calls of :meth:`step`, *tick_us* apart
-        (see :meth:`VideoJitterBuffer.skip_ticks`)."""
-        floor = self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
-        if self.target_delay_ms > floor:
-            self.target_delay_ms = _decayed(
-                self.target_delay_ms,
-                floor,
-                self.decay_ms_per_s * (tick_us / 1e6),
-                n_ticks,
-            )
-        self._last_decay_us += n_ticks * tick_us
-
     def next_wake_us(self, now_us: int, tick_us: int) -> int:
         """First tick after *now_us* at which :meth:`step` would play or
         conceal a packet, assuming no arrivals."""
@@ -473,21 +445,10 @@ class AudioJitterBuffer:
             capture = self._estimated_capture(self._next_play_seq)
             if capture is None:
                 return NEVER_US
-        return _first_due_tick(
-            now_us,
-            tick_us,
-            self.target_delay_ms,
-            self.minimum_delay_ms(),
-            self.decay_ms_per_s * (tick_us / 1e6),
-            capture,
-            now_us,
-        )
+        return self._first_due_tick(now_us, tick_us, capture, now_us)
 
     def current_delay_ms(self) -> float:
         return self._last_buffer_delay_ms
-
-    def minimum_delay_ms(self) -> float:
-        return self.base_delay_ms + self.jitter_multiplier * self._jitter_ms
 
     @property
     def concealment_fraction(self) -> float:

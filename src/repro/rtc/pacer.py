@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, List
+from typing import Deque, List, Tuple
 
 from repro.net.packet import Packet
+from repro.telemetry.records import StreamKind
 
 PACING_FACTOR = 2.5
 
 #: Audio and RTCP bypass the pacer in WebRTC; we do the same.
-_PACED_STREAMS = ("video",)
+_PACED_STREAMS = frozenset({StreamKind.VIDEO})
 
 
 @dataclass
@@ -37,23 +38,23 @@ class Pacer:
     def enqueue(self, packet: Packet) -> None:
         self._queue.append(packet)
 
-    def _topped_up(self, budget: float, dt_us: int) -> float:
-        """*budget* after *dt_us* of accrual at the pacing rate."""
-        pacing_rate = self.rate_bps * self.pacing_factor
-        budget += pacing_rate / 8.0 * dt_us / 1e6
-        # Cap the budget so idle periods cannot bank an unbounded burst.
-        return min(budget, pacing_rate / 8.0 * 0.04)
+    def _accrual(self, dt_us: int) -> Tuple[float, float]:
+        """Bytes of budget *dt_us* accrue at the pacing rate, and the
+        cap that keeps idle periods from banking an unbounded burst."""
+        per_s = self.rate_bps * self.pacing_factor / 8.0
+        return per_s * dt_us / 1e6, per_s * 0.04
 
     def drain(self, now_us: int) -> List[Packet]:
         """Release packets allowed by the budget accumulated since the
         last drain; returns them stamped with their release time."""
         dt_us = max(0, now_us - self._last_drain_us)
         self._last_drain_us = now_us
-        self._budget_bytes = self._topped_up(self._budget_bytes, dt_us)
+        top_up, cap = self._accrual(dt_us)
+        self._budget_bytes = min(self._budget_bytes + top_up, cap)
         released: List[Packet] = []
         while self._queue:
             head = self._queue[0]
-            if head.stream.value in _PACED_STREAMS:
+            if head.stream in _PACED_STREAMS:
                 if head.size_bytes > self._budget_bytes:
                     break
                 self._budget_bytes -= head.size_bytes
@@ -64,16 +65,12 @@ class Pacer:
 
     def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
         """Apply *n_ticks* calls of :meth:`drain`, *tick_us* apart, that
-        release nothing: only the budget accrues, tick by tick.  Once
-        it sits at its cap it stays there."""
-        pacing_rate = self.rate_bps * self.pacing_factor
-        top_up = pacing_rate / 8.0 * tick_us / 1e6
-        cap = pacing_rate / 8.0 * 0.04
+        release nothing: only the budget accrues, tick by tick, until it
+        stops changing at its cap."""
+        top_up, cap = self._accrual(tick_us)
         budget = self._budget_bytes
         for _ in range(n_ticks):
-            topped = budget + top_up
-            if cap < topped:  # min(topped, cap)
-                topped = cap
+            topped = min(budget + top_up, cap)
             if topped == budget:
                 break
             budget = topped
@@ -87,17 +84,13 @@ class Pacer:
         if not self._queue:
             return until_us
         head = self._queue[0]
-        if head.stream.value not in _PACED_STREAMS:
+        if head.stream not in _PACED_STREAMS:
             return min(until_us, now_us + tick_us)
-        pacing_rate = self.rate_bps * self.pacing_factor
-        top_up = pacing_rate / 8.0 * tick_us / 1e6
-        cap = pacing_rate / 8.0 * 0.04
+        top_up, cap = self._accrual(tick_us)
         budget = self._budget_bytes
         t = now_us + tick_us
         while t < until_us:
-            budget += top_up
-            if cap < budget:  # min(budget, cap)
-                budget = cap
+            budget = min(budget + top_up, cap)
             if not head.size_bytes > budget:
                 return t
             t += tick_us
