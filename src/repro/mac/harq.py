@@ -103,7 +103,6 @@ class HarqEntity:
         # resolution_slot -> [(tb, attempt, bler_initial)] in submission
         # order, so attempts resolving together draw in that order.
         self._pending: Dict[int, List[Tuple[TransportBlock, int, float]]] = {}
-        self._n_pending = 0
         self.total_transmissions = 0
         self.total_retransmissions = 0
         self.total_failures = 0
@@ -136,7 +135,6 @@ class HarqEntity:
             self._pending[slot] = [(tb, attempt, bler)]
         else:
             bucket.append((tb, attempt, bler))
-        self._n_pending += 1
 
     def poll(self, slot: int) -> List[HarqResolution]:
         """Resolve all attempts due at *slot*.
@@ -149,7 +147,6 @@ class HarqEntity:
         due = self._pending.pop(slot, None)
         if due is None:
             return []
-        self._n_pending -= len(due)
         resolutions: List[HarqResolution] = []
         for tb, attempt, initial_bler in due:
             p_fail = self._attempt_bler(tb, attempt, initial_bler)
@@ -176,4 +173,4 @@ class HarqEntity:
 
     def pending_count(self) -> int:
         """Number of TBs still awaiting resolution."""
-        return self._n_pending
+        return sum(len(bucket) for bucket in self._pending.values())

@@ -32,7 +32,7 @@ class StreamKind(enum.Enum):
     RTCP = "rtcp"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class DciRecord:
     """One decoded scheduling grant / transport block (NR-Scope style)."""
 
@@ -48,41 +48,6 @@ class DciRecord:
     crc_ok: bool = True
     proactive: bool = False
     used_bytes: int = 0
-
-    def __init__(
-        self,
-        ts_us: int,
-        slot: int,
-        rnti: int,
-        is_uplink: bool,
-        n_prb: int,
-        mcs: int,
-        tbs_bits: int,
-        is_retx: bool = False,
-        harq_attempt: int = 0,
-        crc_ok: bool = True,
-        proactive: bool = False,
-        used_bytes: int = 0,
-    ) -> None:
-        # The generated __init__ of a frozen dataclass sets each field
-        # with object.__setattr__; one dict update is ~3x faster, and a
-        # simulated cell emits one record per grant (tens of thousands
-        # per second of call).  Same signature and defaults as the
-        # fields above.
-        self.__dict__.update(
-            ts_us=ts_us,
-            slot=slot,
-            rnti=rnti,
-            is_uplink=is_uplink,
-            n_prb=n_prb,
-            mcs=mcs,
-            tbs_bits=tbs_bits,
-            is_retx=is_retx,
-            harq_attempt=harq_attempt,
-            crc_ok=crc_ok,
-            proactive=proactive,
-            used_bytes=used_bytes,
-        )
 
     @property
     def tbs_bytes(self) -> int:
