@@ -19,7 +19,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import List
 
 #: Resource elements per PRB per slot that are usable for data.  A PRB spans
 #: 12 subcarriers over 14 OFDM symbols = 168 REs; we subtract typical DMRS +
@@ -90,6 +90,7 @@ def mcs_table() -> List[McsEntry]:
     return [McsEntry(i, qm, r) for i, qm, r in _MCS_ROWS]
 
 
+@lru_cache(maxsize=None)  # a cell sees a few hundred PRB counts x 28 MCSs
 def transport_block_size_bits(n_prb: int, mcs: int) -> int:
     """Transport block size in bits for *n_prb* PRBs at MCS index *mcs*.
 
@@ -97,18 +98,6 @@ def transport_block_size_bits(n_prb: int, mcs: int) -> int:
     usable data REs times the spectral efficiency, quantised to whole bits.
     Returns 0 for empty allocations.
     """
-    tbs = _TBS_MEMO.get((n_prb, mcs))
-    if tbs is None:
-        tbs = _TBS_MEMO[(n_prb, mcs)] = _tbs_bits(n_prb, mcs)
-    return tbs
-
-
-#: (n_prb, mcs) -> transport_block_size_bits; a cell has a few hundred
-#: PRB counts and 28 MCS indices, so this stays small.
-_TBS_MEMO: Dict[Tuple[int, int], int] = {}
-
-
-def _tbs_bits(n_prb: int, mcs: int) -> int:
     if n_prb <= 0:
         return 0
     if not 0 <= mcs <= MAX_MCS:

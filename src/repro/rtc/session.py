@@ -170,11 +170,11 @@ class TwoPartySession:
         ``tick_hooks`` is non-empty (hooks may read any client state).
         """
         client_a, client_b = self.client_a, self.client_b
-        hooks = self.tick_hooks
         now = self._now_us
         while now < target_us:
             now += self.step_us
             self._now_us = now
+            hooks = self.tick_hooks
             for hook in hooks:
                 hook(self, now)
             arrivals_a, arrivals_b = self._pump_access(now)
