@@ -120,7 +120,7 @@ class WebRtcClient:
 
         Callers step every tick that delivers packets to the client or
         is at or after :attr:`next_wake_us`; the ticks in between are
-        replayed first (:meth:`catch_up`).
+        replayed first, as :meth:`catch_up` does.
 
         Args:
             arrivals: (packet, arrival_us) pairs delivered this step.
@@ -128,8 +128,8 @@ class WebRtcClient:
         Returns:
             Packets released onto the network this step.
         """
-        # Ticks since the last step, all idle, are replayed first; each
-        # jitter buffer with nothing due this tick either replays it too.
+        # The idle ticks since the last step are replayed first, and a
+        # jitter buffer with nothing due on this tick replays it too.
         idle = (now_us - self.now_us) // self.tick_us - 1
         self.now_us = now_us
         if idle > 0:
@@ -139,7 +139,8 @@ class WebRtcClient:
             packet.stream is not StreamKind.RTCP for packet, _ in arrivals
         ):
             if idle > 0:
-                receiver.skip_ticks(idle, self.tick_us)
+                receiver.video.skip_ticks(idle, self.tick_us)
+                receiver.audio.skip_ticks(idle, self.tick_us)
             for packet, arrival_us in arrivals:
                 self._on_arrival(packet, arrival_us, now_us)
             receiver.step(now_us)
@@ -194,7 +195,8 @@ class WebRtcClient:
         n_ticks = (now_us - self.now_us) // self.tick_us
         if n_ticks <= 0:
             return
-        self.receiver.skip_ticks(n_ticks, self.tick_us)
+        self.receiver.video.skip_ticks(n_ticks, self.tick_us)
+        self.receiver.audio.skip_ticks(n_ticks, self.tick_us)
         self.pacer.skip_ticks(n_ticks, self.tick_us)
         self.now_us += n_ticks * self.tick_us
 

@@ -100,12 +100,6 @@ class MediaReceiver:
         self.video.step(now_us)
         self.audio.step(now_us)
 
-    def skip_ticks(self, n_ticks: int, tick_us: int) -> None:
-        """Apply *n_ticks* calls of :meth:`step`, *tick_us* apart, on
-        which no packet arrives and neither buffer has anything due."""
-        self.video.skip_ticks(n_ticks, tick_us)
-        self.audio.skip_ticks(n_ticks, tick_us)
-
     def build_feedback(self, now_us: int) -> Optional[FeedbackPayload]:
         """Drain pending acks + expired gaps into one feedback payload."""
         entries: List[FeedbackEntry] = []
