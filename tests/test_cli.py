@@ -318,3 +318,148 @@ def test_causal_score_rejects_unlabeled_campaign(tmp_path, capsys):
     save_outcomes([outcome], path)
     assert main(["causal", "score", path]) == 1
     assert "no outcome carries ground-truth labels" in capsys.readouterr().out
+
+
+# -- obs ------------------------------------------------------------------------
+
+
+def test_obs_report_over_events_file(trace_path, tmp_path, capsys):
+    events = str(tmp_path / "events.jsonl")
+    assert main(["--events-file", events, "analyze", trace_path]) == 0
+    capsys.readouterr()
+    assert main(["obs", "report", events]) == 0
+    out = capsys.readouterr().out
+    assert "obs report: 3 events" in out
+    for stage in ("ingest.from_bundle", "detect.features", "detect.trace"):
+        assert stage in out
+
+
+def test_obs_trace_on_store_without_spans(tmp_path, capsys):
+    from repro import api
+
+    store_dir = str(tmp_path / "store")
+    api.store_open(store_dir).close()
+    assert main(["obs", "trace", "--store", store_dir]) == 1
+    assert (
+        f"no trace spans in {store_dir} for any" in capsys.readouterr().out
+    )
+
+
+# -- cluster queue / status / cancel ----------------------------------------------
+
+
+@pytest.fixture()
+def standing_coordinator(monkeypatch):
+    """A loopback standing coordinator on a background event loop.
+
+    ``main()`` runs its own ``asyncio.run``, so the coordinator (and the
+    worker ``add_worker`` attaches) live on a second loop in a thread.
+    The ``smoke`` preset is swapped for one short wired scenario.
+    """
+    import asyncio
+    import threading
+
+    from repro.cluster import ClusterCoordinator, ClusterWorker
+    from repro.fleet.scenarios import PRESETS, ScenarioMatrix
+
+    monkeypatch.setitem(
+        PRESETS,
+        "smoke",
+        ScenarioMatrix(name="cli_tiny", profiles=("wired",), durations_s=(6.0,)),
+    )
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def call(coro):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=60)
+
+    async def start():
+        coordinator = ClusterCoordinator()
+        await coordinator.start()
+        return coordinator
+
+    coordinator = call(start())
+    tasks = []
+
+    async def attach():
+        worker = ClusterWorker("127.0.0.1", coordinator.port, slots=1)
+        tasks.append(asyncio.ensure_future(worker.run()))
+        await coordinator.wait_for_workers(1, timeout_s=60)
+
+    async def stop():
+        await coordinator.close()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+
+    coordinator.add_worker = lambda: call(attach())
+    coordinator.address = f"127.0.0.1:{coordinator.port}"
+    try:
+        yield coordinator
+    finally:
+        call(stop())
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=10)
+        loop.close()
+
+
+def test_cluster_queue_status_cancel(standing_coordinator, tmp_path, capsys):
+    from repro import api
+    from repro.fleet.executor import load_outcomes
+
+    connect = ["--connect", standing_coordinator.address]
+    assert main(["cluster", "status", *connect]) == 0
+    assert capsys.readouterr().out == "queue is empty\n"
+
+    # No worker yet: the campaign stays active until cancelled.
+    held = ["--campaign-id", "held", "--no-cache"]
+    assert main(["cluster", "queue", *connect, *held]) == 0
+    assert capsys.readouterr().out == "queued campaign held: 1 scenario(s)\n"
+    assert main(["cluster", "status", *connect]) == 0
+    assert capsys.readouterr().out == "held  active     0/1\n"
+    assert main(["cluster", "cancel", "held", *connect]) == 0
+    assert capsys.readouterr().out == "cancelled campaign held\n"
+
+    standing_coordinator.add_worker()
+    out = str(tmp_path / "queued.jsonl")
+    code = main(
+        [
+            "cluster",
+            "queue",
+            *connect,
+            "--no-cache",
+            "--wait",
+            "--interval",
+            "0.05",
+            "--out",
+            out,
+        ]
+    )
+    assert code == 0
+    captured = capsys.readouterr().out
+    cid = captured.split()[2].rstrip(":")
+    assert f"wrote {out}: 1 outcomes" in captured
+    want = api.campaign("smoke")
+    assert [o.to_json() for o in load_outcomes(out)] == [
+        o.to_json() for o in want
+    ]
+
+    assert main(["cluster", "status", *connect]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "held  cancelled  0/1",
+        f"{cid}  completed  1/1",
+    ]
+    # A finished (or unknown) campaign cannot be cancelled.
+    for campaign_id in (cid, "nope"):
+        assert main(["cluster", "cancel", campaign_id, *connect]) == 1
+        assert "is not active" in capsys.readouterr().err
+
+
+def test_cluster_status_unreachable_coordinator_exits_1():
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    assert main(["cluster", "status", "--connect", f"127.0.0.1:{port}"]) == 1
