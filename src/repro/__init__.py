@@ -22,8 +22,8 @@ Quickstart (the public API lives in :mod:`repro.api`)::
 
 Everything that crosses a process, host, or disk boundary serializes
 through the canonical versioned registry in :mod:`repro.schema`.
-Pre-2.0 imports (``repro.DominoDetector`` and friends) keep working but
-emit :class:`DeprecationWarning`s — see the README's deprecation table.
+The pre-2.0 top-level names (``repro.DominoDetector`` and friends) are
+gone; import them from their defining modules.
 
 All public names resolve lazily (PEP 562): ``import repro`` stays
 lightweight — the facade, the schema registry, and the simulation
@@ -31,41 +31,10 @@ substrate behind them load on first attribute access.
 """
 
 import importlib as _importlib
-import warnings as _warnings
 
 from repro.errors import ReproError, SchemaError, SchemaVersionError
 
 __version__ = "2.0.0"
-
-__all__ = [
-    "ClusterBackend",
-    "DetectorConfig",
-    "DominoReport",
-    "ExecutionBackend",
-    "FleetSnapshot",
-    "ImpairmentSpec",
-    "InlineBackend",
-    "ProcessPoolBackend",
-    "ReproError",
-    "SCHEMA_VERSION",
-    "ScenarioMatrix",
-    "ScenarioSpec",
-    "SchemaError",
-    "SchemaVersionError",
-    "SessionOutcome",
-    "SessionSnapshot",
-    "WindowDetection",
-    "__version__",
-    "analyze",
-    "api",
-    "campaign",
-    "obs",
-    "open_stream",
-    "read_snapshot",
-    "schema",
-    "serve",
-    "watch",
-]
 
 #: Public (2.0) surface → defining module (``None`` attr = the module
 #: itself).  Resolved lazily and cached in module globals, so the cost
@@ -97,58 +66,23 @@ _PUBLIC_EXPORTS = {
     "FleetSnapshot": ("repro.live.aggregator", "FleetSnapshot"),
 }
 
-#: Pre-2.0 top-level names → (defining module, attribute, replacement).
-#: Kept importable so existing scripts run, but each access warns.
-_LEGACY_EXPORTS = {
-    "DominoDetector": (
-        "repro.core.detector",
-        "DominoDetector",
-        "repro.api.analyze() (or repro.core.detector.DominoDetector)",
-    ),
-    "DominoStats": (
-        "repro.core.stats",
-        "DominoStats",
-        "repro.core.stats.DominoStats",
-    ),
-    "TelemetryBundle": (
-        "repro.telemetry.records",
-        "TelemetryBundle",
-        "repro.telemetry.records.TelemetryBundle",
-    ),
-    "Timeline": (
-        "repro.telemetry.timeline",
-        "Timeline",
-        "repro.telemetry.timeline.Timeline",
-    ),
-    "parse_chains": (
-        "repro.core.dsl",
-        "parse_chains",
-        "repro.core.dsl.parse_chains",
-    ),
-}
+#: The eagerly bound names plus every lazily resolved one.
+__all__ = sorted(
+    ["__version__", "ReproError", "SchemaError", "SchemaVersionError"]
+    + list(_PUBLIC_EXPORTS)
+)
 
 
 def __getattr__(name: str):
-    """Resolve public names lazily; legacy names warn (PEP 562)."""
+    """Resolve public names lazily (PEP 562)."""
     if name in _PUBLIC_EXPORTS:
         module_name, attr = _PUBLIC_EXPORTS[name]
         module = _importlib.import_module(module_name)
         value = module if attr is None else getattr(module, attr)
         globals()[name] = value  # cache: later accesses skip this hook
         return value
-    if name in _LEGACY_EXPORTS:
-        module_name, attr, replacement = _LEGACY_EXPORTS[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated since 2.0; use {replacement} "
-            f"instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return getattr(_importlib.import_module(module_name), attr)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(
-        set(__all__) | set(_LEGACY_EXPORTS) | set(globals())
-    )
+    return sorted(set(__all__) | set(globals()))

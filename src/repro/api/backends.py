@@ -1,13 +1,10 @@
 """Pluggable campaign execution behind one :class:`ExecutionBackend` seam.
 
-Before the facade existed, choosing *where* a campaign runs meant a
-string switch (``run_campaign(dispatch="local"|"cluster")``) plus a
-``workers`` integer whose meaning changed with the switch.  The seam is
-now a protocol: :func:`repro.api.campaign` hands the expanded scenario
-list to whatever backend it is given, and each backend owns exactly one
-execution strategy.  New strategies (a journaled coordinator, a
-multi-campaign queue) are new classes, not new keyword arguments
-threaded through every caller.
+Choosing *where* a campaign runs is a protocol, not a string switch:
+:func:`repro.api.campaign` hands the expanded scenario list to whatever
+backend it is given, and each backend owns exactly one execution
+strategy — in this process, on a local process pool, or on remote
+cluster workers (optionally journaled, authenticated and TLS-served).
 
 Every backend runs scenarios through
 :func:`repro.fleet.executor.run_scenario`, and scenarios are
@@ -130,12 +127,28 @@ class ClusterBackend:
     and returns outcomes in scenario order — byte-identical to local
     backends because scenario seeds ride inside the specs.
 
+    With *journal_path* set the campaign is durable: every campaign
+    transition is journaled before it takes effect, so a coordinator
+    killed mid-campaign resumes on the next :meth:`run` — replaying
+    settled outcomes from the journal and dispatching only the
+    unsettled remainder.  The resumed result is byte-identical to an
+    uninterrupted run, and no settled scenario is executed twice.
+
     Args:
         host / port: coordinator bind address (``port=0`` = ephemeral).
         min_workers: wait for this many workers before dispatching.
         worker_wait_s: bound the worker wait (``None`` = forever).
         on_listening: called with the bound ``(host, port)`` so callers
             can advertise an ephemeral port to workers.
+        journal_path: the write-ahead journal file (created on first
+            use; replayed when it exists).  ``None`` = no journal.
+        campaign_id: explicit campaign id; defaults to the
+            deterministic digest of the scenario specs + detector
+            config, which is what matches a rerun against the journal.
+        auth_token: require this token from every connecting peer
+            (``None`` = open coordinator).
+        ssl_context: serve the listener over TLS (see
+            :func:`repro.cluster.protocol.server_ssl_context`).
         store_dir: land the finished campaign's distributed-trace spans
             (and periodic snapshots) in this historical store.
         trace_campaigns: root a per-scenario distributed trace for the
@@ -151,6 +164,10 @@ class ClusterBackend:
         min_workers: int = 1,
         worker_wait_s: Optional[float] = None,
         on_listening: Optional[Callable[[str, int], None]] = None,
+        journal_path: Optional[str] = None,
+        campaign_id: Optional[str] = None,
+        auth_token: Optional[str] = None,
+        ssl_context: Optional[object] = None,
         store_dir: Optional[str] = None,
         trace_campaigns: bool = True,
     ) -> None:
@@ -161,6 +178,10 @@ class ClusterBackend:
         self.min_workers = min_workers
         self.worker_wait_s = worker_wait_s
         self.on_listening = on_listening
+        self.journal_path = journal_path
+        self.campaign_id = campaign_id
+        self.auth_token = auth_token
+        self.ssl_context = ssl_context
         self.store_dir = store_dir
         self.trace_campaigns = trace_campaigns
 
@@ -188,86 +209,6 @@ class ClusterBackend:
             min_workers=self.min_workers,
             worker_wait_s=self.worker_wait_s,
             on_listening=self.on_listening,
-            store_dir=self.store_dir,
-            trace_campaigns=self.trace_campaigns,
-        )
-
-
-class JournaledClusterBackend:
-    """A :class:`ClusterBackend` with a write-ahead campaign journal.
-
-    Same dispatch model and byte-identical outcomes, plus durability:
-    every campaign transition is journaled to *journal_path* before it
-    takes effect, so a coordinator killed mid-campaign resumes on the
-    next :meth:`run` — replaying settled outcomes from the journal and
-    dispatching only the unsettled remainder.  The resumed result is
-    byte-identical to an uninterrupted run, and no settled scenario is
-    executed twice.
-
-    Args:
-        journal_path: the write-ahead journal file (created on first
-            use; replayed when it exists).
-        host / port / min_workers / worker_wait_s / on_listening: as
-            for :class:`ClusterBackend`.
-        campaign_id: explicit campaign id; defaults to the
-            deterministic digest of the scenario specs + detector
-            config, which is what matches a rerun against the journal.
-        auth_token: require this token from every connecting peer.
-        ssl_context: serve the listener over TLS (see
-            :func:`repro.cluster.protocol.server_ssl_context`).
-    """
-
-    def __init__(
-        self,
-        journal_path: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        min_workers: int = 1,
-        worker_wait_s: Optional[float] = None,
-        on_listening: Optional[Callable[[str, int], None]] = None,
-        campaign_id: Optional[str] = None,
-        auth_token: Optional[str] = None,
-        ssl_context: Optional[object] = None,
-        store_dir: Optional[str] = None,
-        trace_campaigns: bool = True,
-    ) -> None:
-        if min_workers < 0:
-            raise ConfigError("min_workers must be >= 0")
-        self.journal_path = journal_path
-        self.host = host
-        self.port = port
-        self.min_workers = min_workers
-        self.worker_wait_s = worker_wait_s
-        self.on_listening = on_listening
-        self.campaign_id = campaign_id
-        self.auth_token = auth_token
-        self.ssl_context = ssl_context
-        self.store_dir = store_dir
-        self.trace_campaigns = trace_campaigns
-
-    def run(
-        self,
-        scenarios: Sequence[ScenarioSpec],
-        *,
-        detector_config: Optional[DetectorConfig] = None,
-        trace_dir: Optional[str] = None,
-        cache_dir: Optional[str] = None,
-        fail_fast: bool = False,
-    ) -> List[SessionOutcome]:
-        from repro.cluster.coordinator import run_cluster_campaign
-
-        return run_cluster_campaign(
-            scenarios,
-            detector_config=detector_config,
-            trace_dir=trace_dir,
-            cache_dir=cache_dir,
-            fail_fast=fail_fast,
-            host=self.host,
-            port=self.port,
-            min_workers=self.min_workers,
-            worker_wait_s=self.worker_wait_s,
-            on_listening=self.on_listening,
             journal_path=self.journal_path,
             campaign_id=self.campaign_id,
             auth_token=self.auth_token,
@@ -281,6 +222,5 @@ __all__ = [
     "ClusterBackend",
     "ExecutionBackend",
     "InlineBackend",
-    "JournaledClusterBackend",
     "ProcessPoolBackend",
 ]

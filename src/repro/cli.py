@@ -18,15 +18,25 @@ prints detected causal chains plus the Fig. 10-style statistics;
 (Fig. 11); ``fleet`` runs a whole campaign of sessions in parallel and
 prints the fleet-level root-cause rollup (re-renderable later from the
 saved outcomes with ``fleet-report``).
+
+The CLI is a thin shell over :mod:`repro.api`.  Option groups that
+several commands share are declared once, as parent parsers (cluster
+connection, campaign source, live plane), and every command has one
+error contract: :func:`main` turns a :class:`~repro.errors.ReproError`
+or an ``OSError`` into one logged line and exit status 1; usage errors
+exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import asyncio
+import inspect
 import json
 import os
 import sys
-from dataclasses import replace
+import time
+from dataclasses import asdict, replace
 from typing import List, Optional
 
 from repro import api
@@ -37,19 +47,12 @@ from repro.core.detector import DetectorConfig
 from repro.core.dsl import parse_chains
 from repro.core.report import render_frequency_table
 from repro.core.stats import DominoStats
-from repro.datasets.cells import CELL_PROFILES, get_profile
-from repro.datasets.runner import make_cellular_session, make_wired_session
-from repro.errors import (
-    ClusterError,
-    ConfigError,
-    ReproError,
-    SchemaError,
-    TelemetryError,
-)
+from repro.datasets.cells import CELL_PROFILES
+from repro.errors import ReproError, SchemaError
 from repro.fleet.aggregate import FleetAggregate
 from repro.fleet.executor import iter_outcomes, save_outcomes
 from repro.fleet.report import render_fleet_report
-from repro.fleet.scenarios import PRESETS, get_preset
+from repro.fleet.scenarios import PRESETS, derive_seed, get_preset
 from repro.obs.logs import get_logger, setup_logging
 from repro.telemetry.io import load_bundle, save_bundle
 
@@ -57,21 +60,19 @@ logger = get_logger(__name__)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    duration_us = int(args.duration * 1e6)
-    if args.profile == "wired":
-        session = make_wired_session(seed=args.seed)
-    elif args.profile == "wifi":
-        session = make_wired_session(seed=args.seed, wifi=True)
-    else:
-        session = make_cellular_session(
-            get_profile(args.profile), seed=args.seed
-        )
-    result = session.run(duration_us)
-    save_bundle(result.bundle, args.out)
-    rates = result.bundle.event_rates_per_minute()
+    # The session a campaign scenario on this profile builds, unimpaired.
+    spec = api.ScenarioSpec(
+        name="simulate",
+        profile=args.profile,
+        seed=args.seed,
+        duration_s=args.duration,
+    )
+    bundle = spec.build_session().run(spec.duration_us).bundle
+    save_bundle(bundle, args.out)
+    rates = bundle.event_rates_per_minute()
     print(
-        f"wrote {args.out}: {len(result.bundle.packets)} packets, "
-        f"{len(result.bundle.dci)} DCI records "
+        f"wrote {args.out}: {len(bundle.packets)} packets, "
+        f"{len(bundle.dci)} DCI records "
         f"({rates['packets']:.0f} pkt/min)"
     )
     return 0
@@ -79,7 +80,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def _detector_config(args: argparse.Namespace) -> DetectorConfig:
     chains_text = DEFAULT_CHAINS_TEXT
-    if getattr(args, "chains", None):
+    if args.chains:
         with open(args.chains) as handle:
             chains_text = handle.read()
     return DetectorConfig(
@@ -143,6 +144,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_codegen(args: argparse.Namespace) -> int:
+    with open(args.chains) as handle:
+        text = handle.read()
+    print(generate_python_source(parse_chains(text)))
+    return 0
+
+
 def _positive_int(value: str) -> int:
     parsed = int(value)
     if parsed < 1:
@@ -150,11 +158,50 @@ def _positive_int(value: str) -> int:
     return parsed
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _parse_address(value: str):
+    """'host:port' → (host, port); argparse-friendly errors."""
+    host, _, port = value.rpartition(":")
+    if not host or not port.isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT, got {value!r}"
+        )
+    return host, int(port)
+
+
+def _scenarios(args: argparse.Namespace):
+    """The ``--preset`` matrix, re-seeded by ``--base-seed``, expanded."""
     matrix = get_preset(args.preset)
     if args.base_seed is not None:
         matrix = matrix.with_base_seed(args.base_seed)
-    scenarios = matrix.expand()
+    return matrix, matrix.expand()
+
+
+def _cluster_token(args: argparse.Namespace) -> Optional[str]:
+    """--auth-token flag, falling back to $REPRO_CLUSTER_TOKEN."""
+    return (
+        getattr(args, "auth_token", None)
+        or os.environ.get("REPRO_CLUSTER_TOKEN")
+        or None
+    )
+
+
+def _client_ssl(args: argparse.Namespace):
+    """TLS client context from --tls / --tls-ca (None = plaintext)."""
+    if args.tls_ca or args.tls:
+        from repro.cluster.protocol import client_ssl_context
+
+        return client_ssl_context(args.tls_ca)
+    return None
+
+
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    cluster = args.dispatch == "cluster"
+    if args.journal and not cluster:
+        # A local campaign keeps no journal: accepting the flag would
+        # promise a durability the run does not have.
+        logger.error("--journal needs --dispatch cluster")
+        return 2
+    matrix, scenarios = _scenarios(args)
     if args.out:
         # Fail on an unwritable destination now, not after the campaign.
         out_dir = os.path.dirname(args.out)
@@ -163,13 +210,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         with open(args.out, "a"):
             pass
     cache_dir = None if args.no_cache else args.cache_dir
-    dispatch = getattr(args, "dispatch", "local")
     print(
         f"campaign {matrix.name}: {len(scenarios)} sessions, "
         + (
             f"dispatch=cluster ({args.bind}:{args.port}, "
             f"min {args.min_workers} workers)"
-            if dispatch == "cluster"
+            if cluster
             else f"workers={args.workers}"
         )
         + (f", cache={cache_dir}" if cache_dir else ", cache off")
@@ -182,23 +228,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    # The facade's backend seam replaces the old dispatch string switch.
-    if dispatch == "cluster" and args.journal:
-        backend = api.JournaledClusterBackend(
-            args.journal,
-            args.bind,
-            args.port,
-            min_workers=args.min_workers,
-            on_listening=listening,
-            auth_token=_cluster_token(args),
-            store_dir=args.store,
-        )
-    elif dispatch == "cluster":
+    if cluster:
         backend = api.ClusterBackend(
             args.bind,
             args.port,
             min_workers=args.min_workers,
             on_listening=listening,
+            journal_path=args.journal,
+            auth_token=_cluster_token(args),
             store_dir=args.store,
         )
     else:
@@ -216,9 +253,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     if args.store:
         # Post-campaign tee: detections are already final, so storing
         # is purely additive — byte-identical with the tee on or off.
-        from repro.store import RcaStore
-
-        with RcaStore.open(args.store) as store:
+        with api.store_open(args.store) as store:
             n = store.ingest_outcomes(outcomes, ts=args.store_at)
         print(f"store {args.store}: ingested {n} outcomes")
     print()
@@ -231,21 +266,17 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     # aggregate one outcome at a time, so a sharded campaign JSONL far
     # larger than memory renders fine.  Tolerant mode: a campaign cut
     # short (killed worker, crashed run) leaves a partial trailing line
-    # and a count shortfall — report what survived, loudly.
+    # and a count shortfall — report what survived, loudly.  A
+    # mismatched artifact (SchemaVersionError) reports "schema version
+    # X vs Y" through main()'s error path, never a traceback mid-decode.
     stats: dict = {}
-    try:
-        print(
-            render_fleet_report(
-                FleetAggregate(
-                    iter_outcomes(args.outcomes, tolerant=True, stats=stats)
-                )
+    print(
+        render_fleet_report(
+            FleetAggregate(
+                iter_outcomes(args.outcomes, tolerant=True, stats=stats)
             )
         )
-    except TelemetryError as exc:
-        # Includes SchemaVersionError: a mismatched artifact reports
-        # "schema version X vs Y", never a traceback mid-decode.
-        logger.error("%s", exc)
-        return 1
+    )
     if stats.get("skipped_lines"):
         logger.warning(
             "skipped %d undecodable line(s) (truncated save?)",
@@ -260,9 +291,25 @@ def _cmd_fleet_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_live(args: argparse.Namespace) -> int:
-    import asyncio
+def _live_specs(args: argparse.Namespace):
+    """Expand a preset into N live session specs at the CLI duration."""
+    matrix, base = _scenarios(args)
+    specs = []
+    for index in range(args.sessions):
+        spec = base[index % len(base)]
+        name = f"live/{index}/{spec.profile}/{spec.impairment.name}"
+        specs.append(
+            replace(
+                spec,
+                name=name,
+                duration_s=args.duration,
+                seed=derive_seed(matrix.base_seed, name),
+            )
+        )
+    return specs
 
+
+async def _cmd_live(args: argparse.Namespace) -> int:
     from repro.live.dashboard import render_snapshot
 
     specs = _live_specs(args)
@@ -300,48 +347,45 @@ def _cmd_live(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    async def _serve():
-        forwarder = None
-        sink = None
-        if args.forward:
-            from repro.cluster import DetectionForwarder
+    forwarder = None
+    if args.forward:
+        from repro.cluster import DetectionForwarder
 
-            host, port = args.forward
-            # Reconnect on by default: a service that outlives its
-            # coordinator should resume forwarding when it returns.
-            forwarder = DetectionForwarder(
-                host,
-                port,
-                auth_token=_cluster_token(args),
-                ssl_context=_client_ssl(args),
-                reconnect=True,
-            )
-            await forwarder.start()
-            for source in sources:
-                forwarder.register(
-                    source.session_id, source.profile, source.impairment
-                )
-            sink = forwarder.sink
-        service = api.serve(
-            sources,
-            backpressure=args.backpressure,
-            queue_batches=args.queue_batches,
-            snapshot_every_s=args.snapshot_every,
-            idle_timeout_s=args.idle_timeout,
-            snapshot_path=args.snapshot,
-            metrics_path=getattr(args, "live_metrics_file", None),
-            store_dir=args.store,
-            on_snapshot=progress if not args.quiet else None,
-            detection_sink=sink,
-            adaptive_advance=args.adaptive_advance,
+        host, port = args.forward
+        # Reconnect on by default: a service that outlives its
+        # coordinator should resume forwarding when it returns.
+        forwarder = DetectionForwarder(
+            host,
+            port,
+            auth_token=_cluster_token(args),
+            ssl_context=_client_ssl(args),
+            reconnect=True,
         )
-        try:
-            return await service.run()
-        finally:
-            if forwarder is not None:
-                await forwarder.close()
-
-    final = asyncio.run(_serve())
+        await forwarder.start()
+        for source in sources:
+            forwarder.register(
+                source.session_id, source.profile, source.impairment
+            )
+    # The live service flushes --metrics-file periodically as well;
+    # main() writes the final snapshot for every command.
+    service = api.serve(
+        sources,
+        backpressure=args.backpressure,
+        queue_batches=args.queue_batches,
+        snapshot_every_s=args.snapshot_every,
+        idle_timeout_s=args.idle_timeout,
+        snapshot_path=args.snapshot,
+        metrics_path=args.metrics_file,
+        store_dir=args.store,
+        on_snapshot=progress if not args.quiet else None,
+        detection_sink=forwarder.sink if forwarder is not None else None,
+        adaptive_advance=args.adaptive_advance,
+    )
+    try:
+        final = await service.run()
+    finally:
+        if forwarder is not None:
+            await forwarder.close()
     print()
     print(render_snapshot(final))
     if args.snapshot:
@@ -349,84 +393,18 @@ def _cmd_live(args: argparse.Namespace) -> int:
     return 0
 
 
-def _live_specs(args: argparse.Namespace):
-    """Expand a preset into N live session specs at the CLI duration."""
-    from dataclasses import replace as dc_replace
-
-    from repro.fleet.scenarios import derive_seed
-
-    matrix = get_preset(args.preset)
-    if args.base_seed is not None:
-        matrix = matrix.with_base_seed(args.base_seed)
-    base = matrix.expand()
-    specs = []
-    for index in range(args.sessions):
-        spec = base[index % len(base)]
-        name = f"live/{index}/{spec.profile}/{spec.impairment.name}"
-        specs.append(
-            dc_replace(
-                spec,
-                name=name,
-                duration_s=args.duration,
-                seed=derive_seed(matrix.base_seed, name),
-            )
-        )
-    return specs
-
-
-def _parse_address(value: str):
-    """'host:port' → (host, port); argparse-friendly errors."""
-    host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {value!r}"
-        )
-    return host, int(port)
-
-
-def _cluster_token(args: argparse.Namespace) -> Optional[str]:
-    """--auth-token flag, falling back to $REPRO_CLUSTER_TOKEN."""
-    return (
-        getattr(args, "auth_token", None)
-        or os.environ.get("REPRO_CLUSTER_TOKEN")
-        or None
-    )
-
-
-def _client_ssl(args: argparse.Namespace):
-    """TLS client context from --tls / --tls-ca (None = plaintext)."""
-    if getattr(args, "tls_ca", None) or getattr(args, "tls", False):
-        from repro.cluster.protocol import client_ssl_context
-
-        return client_ssl_context(getattr(args, "tls_ca", None))
-    return None
-
-
-def _cmd_watch(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.live.aggregator import FleetSnapshot
+def _snapshot_renderer(args: argparse.Namespace):
+    """`watch`'s per-snapshot view: dashboard, trend, alerts pane."""
     from repro.live.dashboard import SnapshotHistory, render_snapshot, render_trend
 
-    if args.snapshot is None and not args.connect:
-        print(
-            "need a snapshot file or --connect HOST:PORT", file=sys.stderr
-        )
-        return 1
     history = SnapshotHistory() if args.follow else None
     engine = None
-    alert_store = None
     recent_alerts: list = []
     if args.rules:
-        try:
-            if args.store:
-                alert_store = api.store_open(args.store)
-            engine = api.store_alerts(args.rules, store=alert_store)
-        except ConfigError as exc:
-            logger.error("%s", exc)
-            return 1
+        alert_store = api.store_open(args.store) if args.store else None
+        engine = api.store_alerts(args.rules, store=alert_store)
 
-    def show(snapshot: FleetSnapshot) -> None:
+    def show(snapshot) -> None:
         print(render_snapshot(snapshot))
         if history is not None:
             history.add(snapshot)
@@ -435,101 +413,85 @@ def _cmd_watch(args: argparse.Namespace) -> int:
         if engine is not None:
             from repro.store import render_alerts_pane
 
-            for event in engine.observe_snapshot(
-                snapshot, ts=time.time()
-            ):
-                recent_alerts.append(
-                    {
-                        "ts": event.ts,
-                        "rule": event.rule,
-                        "state": event.state,
-                        "message": event.message,
-                    }
-                )
+            recent_alerts.extend(
+                asdict(event)
+                for event in engine.observe_snapshot(snapshot, ts=time.time())
+            )
             print()
             print(render_alerts_pane(engine.firing, recent_alerts))
 
+    return show
+
+
+async def _snapshots(args: argparse.Namespace):
+    """Fleet snapshots for `watch`: pushed by a coordinator (--connect),
+    or re-read from the file a live service rewrites.
+
+    Streaming SNAPSHOT frames straight off the coordinator socket gives
+    the fleet-wide dashboard with no shared filesystem.  An
+    incompatible coordinator surfaces as a refused handshake
+    (ClusterError carrying the coordinator's "schema/protocol version
+    mismatch" reason), a malformed frame (ClusterProtocolError), or a
+    mismatched snapshot stamp (SchemaVersionError).  None of these heal
+    by retrying, so they propagate to main()'s error path.
+    """
     if args.connect:
-        # Stream SNAPSHOT frames straight off the coordinator socket —
-        # the fleet-wide dashboard with no shared filesystem.
-        import asyncio
-
         host, port = args.connect
-
-        async def _stream() -> None:
-            import asyncio as aio
-
-            while True:
-                try:
-                    async for snapshot in api.watch(
-                        host,
-                        port,
-                        auth_token=_cluster_token(args),
-                        ssl_context=_client_ssl(args),
-                    ):
-                        show(snapshot)
-                        if not args.follow:
-                            return
-                        print()
-                except (ConnectionError, OSError):
-                    pass
-                if not args.follow:
-                    return
-                # Like file-follow mode racing the first write: a
-                # restarting coordinator is something to wait out, not
-                # a reason for an always-on dashboard to exit silently.
-                print(
-                    f"coordinator at {host}:{port} unreachable; "
-                    f"retrying ...",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                await aio.sleep(args.interval)
-
-        try:
-            asyncio.run(_stream())
-        except (SchemaError, ClusterError) as exc:
-            # An incompatible coordinator surfaces as a refused
-            # handshake (ClusterError carrying the coordinator's
-            # "schema/protocol version mismatch" reason), a malformed
-            # frame (ClusterProtocolError), or a mismatched snapshot
-            # stamp (SchemaVersionError).  None of these heal by
-            # retrying: report the reason cleanly and exit non-zero.
-            logger.error("%s", exc)
-            return 1
-        return 0
-
+        while True:
+            try:
+                async for snapshot in api.watch(
+                    host,
+                    port,
+                    auth_token=_cluster_token(args),
+                    ssl_context=_client_ssl(args),
+                ):
+                    yield snapshot
+            except (ConnectionError, OSError):
+                pass
+            if not args.follow:
+                return
+            # Like file-follow mode racing the first write: a restarting
+            # coordinator is something to wait out, not a reason for an
+            # always-on dashboard to exit silently.
+            print(
+                f"coordinator at {host}:{port} unreachable; retrying ...",
+                file=sys.stderr,
+                flush=True,
+            )
+            await asyncio.sleep(args.interval)
     while True:
         try:
-            snapshot = api.read_snapshot(args.snapshot)
-        except SchemaError as exc:
-            logger.error("%s", exc)
-            return 1
+            yield api.read_snapshot(args.snapshot)
         except FileNotFoundError:
-            if args.follow:
-                # The service writes its first snapshot after one
-                # interval; keep waiting instead of racing it.
-                print(
-                    f"waiting for {args.snapshot} ...",
-                    file=sys.stderr,
-                    flush=True,
-                )
-                time.sleep(args.interval)
-                continue
-            print(f"no snapshot at {args.snapshot}", file=sys.stderr)
-            return 1
+            if not args.follow:
+                raise ReproError(f"no snapshot at {args.snapshot}")
+            # The service writes its first snapshot after one interval;
+            # keep waiting instead of racing it.
+            print(
+                f"waiting for {args.snapshot} ...",
+                file=sys.stderr,
+                flush=True,
+            )
+        await asyncio.sleep(args.interval)
+
+
+async def _cmd_watch(args: argparse.Namespace) -> int:
+    if args.snapshot is None and not args.connect:
+        print(
+            "need a snapshot file or --connect HOST:PORT", file=sys.stderr
+        )
+        return 1
+    show = _snapshot_renderer(args)
+    async for snapshot in _snapshots(args):
         show(snapshot)
         if not args.follow:
-            return 0
-        time.sleep(args.interval)
+            break
         print()
+    return 0
 
 
 def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.cluster import ClusterCoordinator
-    from repro.fleet.executor import save_outcomes as save
 
     if bool(args.tls_cert) != bool(args.tls_key):
         logger.error("--tls-cert and --tls-key must be given together")
@@ -581,10 +543,7 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
                 )
                 while True:
                     await asyncio.sleep(3600)
-            matrix = get_preset(args.preset)
-            if args.base_seed is not None:
-                matrix = matrix.with_base_seed(args.base_seed)
-            scenarios = matrix.expand()
+            matrix, scenarios = _scenarios(args)
 
             def progress(done: int, total: int, requeues: int) -> None:
                 print(
@@ -616,7 +575,7 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
                 await coordinator.wait_for_workers(args.min_workers)
             outcomes = await coordinator.wait_campaign(cid)
             if args.out:
-                save(outcomes, args.out)
+                save_outcomes(outcomes, args.out)
                 print(f"wrote {args.out}: {len(outcomes)} outcomes")
             print()
             # The coordinator folded each outcome as it arrived; render
@@ -634,7 +593,6 @@ def _cmd_cluster_coordinator(args: argparse.Namespace) -> int:
 
 
 def _cmd_cluster_worker(args: argparse.Namespace) -> int:
-    import asyncio
     import signal
 
     from repro.cluster import ClusterWorker
@@ -689,121 +647,82 @@ def _control_client(args: argparse.Namespace):
     )
 
 
-def _cmd_cluster_queue(args: argparse.Namespace) -> int:
-    import asyncio
-
-    matrix = get_preset(args.preset)
-    if args.base_seed is not None:
-        matrix = matrix.with_base_seed(args.base_seed)
-    scenarios = matrix.expand()
-
-    async def _go() -> int:
-        async with _control_client(args) as control:
-            cid = await control.submit(
-                scenarios,
-                campaign_id=args.campaign_id,
-                trace_dir=args.trace_dir,
-                cache_dir=None if args.no_cache else args.cache_dir,
-                fail_fast=args.fail_fast,
-            )
-            print(
-                f"queued campaign {cid}: {len(scenarios)} scenario(s)",
-                flush=True,
-            )
-            if not args.wait:
-                return 0
-            last_done = -1
-            while True:
-                entries = {
-                    entry["campaign_id"]: entry
-                    for entry in await control.status()
-                }
-                entry = entries.get(cid)
-                if entry is None or entry["state"] != "active":
-                    break
-                if entry["done"] != last_done:
-                    last_done = entry["done"]
-                    print(
-                        f"[{entry['done']}/{entry['total']}] outcomes "
-                        f"collected",
-                        flush=True,
-                    )
-                await asyncio.sleep(args.interval)
-            result = await control.fetch(cid)
-            outcomes = result["outcomes"]
-            for index, message in sorted(result["errors"].items()):
-                logger.error("scenario %s failed: %s", index, message)
-            if args.out:
-                save_outcomes(outcomes, args.out)
-                print(f"wrote {args.out}: {len(outcomes)} outcomes")
-            print()
-            print(
-                render_fleet_report(FleetAggregate.from_outcomes(outcomes))
-            )
-            return 0 if result["state"] == "completed" else 1
-
-    try:
-        return asyncio.run(_go())
-    except (ClusterError, OSError) as exc:
-        logger.error("%s", exc)
-        return 1
-
-
-def _cmd_cluster_status(args: argparse.Namespace) -> int:
-    import asyncio
-
-    async def _go() -> int:
-        async with _control_client(args) as control:
-            entries = await control.status()
-        if not entries:
-            print("queue is empty")
-            return 0
-        for entry in entries:
-            line = (
-                f"{entry['campaign_id']}  {entry['state']:<9}  "
-                f"{entry['done']}/{entry['total']}"
-            )
-            if entry.get("errors"):
-                line += f"  errors={entry['errors']}"
-            if entry.get("requeues"):
-                line += f"  requeues={entry['requeues']}"
-            print(line)
-        return 0
-
-    try:
-        return asyncio.run(_go())
-    except (ClusterError, OSError) as exc:
-        logger.error("%s", exc)
-        return 1
-
-
-def _cmd_cluster_cancel(args: argparse.Namespace) -> int:
-    import asyncio
-
-    async def _go() -> int:
-        async with _control_client(args) as control:
-            cancelled = await control.cancel(args.campaign_id)
-        if cancelled:
-            print(f"cancelled campaign {args.campaign_id}")
-            return 0
-        print(
-            f"campaign {args.campaign_id} is not active "
-            f"(unknown or already finished)",
-            file=sys.stderr,
+async def _cmd_cluster_queue(args: argparse.Namespace) -> int:
+    _, scenarios = _scenarios(args)
+    async with _control_client(args) as control:
+        cid = await control.submit(
+            scenarios,
+            campaign_id=args.campaign_id,
+            trace_dir=args.trace_dir,
+            cache_dir=None if args.no_cache else args.cache_dir,
+            fail_fast=args.fail_fast,
         )
-        return 1
+        print(
+            f"queued campaign {cid}: {len(scenarios)} scenario(s)",
+            flush=True,
+        )
+        if not args.wait:
+            return 0
+        last_done = -1
+        while True:
+            entries = {
+                entry["campaign_id"]: entry
+                for entry in await control.status()
+            }
+            entry = entries.get(cid)
+            if entry is None or entry["state"] != "active":
+                break
+            if entry["done"] != last_done:
+                last_done = entry["done"]
+                print(
+                    f"[{entry['done']}/{entry['total']}] outcomes "
+                    f"collected",
+                    flush=True,
+                )
+            await asyncio.sleep(args.interval)
+        result = await control.fetch(cid)
+    outcomes = result["outcomes"]
+    for index, message in sorted(result["errors"].items()):
+        logger.error("scenario %s failed: %s", index, message)
+    if args.out:
+        save_outcomes(outcomes, args.out)
+        print(f"wrote {args.out}: {len(outcomes)} outcomes")
+    print()
+    print(render_fleet_report(FleetAggregate.from_outcomes(outcomes)))
+    return 0 if result["state"] == "completed" else 1
 
-    try:
-        return asyncio.run(_go())
-    except (ClusterError, OSError) as exc:
-        logger.error("%s", exc)
-        return 1
+
+async def _cmd_cluster_status(args: argparse.Namespace) -> int:
+    async with _control_client(args) as control:
+        entries = await control.status()
+    if not entries:
+        print("queue is empty")
+        return 0
+    for entry in entries:
+        line = (
+            f"{entry['campaign_id']}  {entry['state']:<9}  "
+            f"{entry['done']}/{entry['total']}"
+        )
+        if entry.get("errors"):
+            line += f"  errors={entry['errors']}"
+        if entry.get("requeues"):
+            line += f"  requeues={entry['requeues']}"
+        print(line)
+    return 0
 
 
-def _open_store(args: argparse.Namespace, *, create: bool):
-    from repro.store import RcaStore
-
-    return RcaStore.open(args.store_dir, create=create)
+async def _cmd_cluster_cancel(args: argparse.Namespace) -> int:
+    async with _control_client(args) as control:
+        cancelled = await control.cancel(args.campaign_id)
+    if cancelled:
+        print(f"cancelled campaign {args.campaign_id}")
+        return 0
+    print(
+        f"campaign {args.campaign_id} is not active "
+        f"(unknown or already finished)",
+        file=sys.stderr,
+    )
+    return 1
 
 
 def _cmd_store_ingest(args: argparse.Namespace) -> int:
@@ -812,18 +731,13 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
             "nothing to ingest: give outcome files, --prom, or --snapshot"
         )
         return 2
-    store = _open_store(args, create=True)
-    try:
+    # A major-version artifact (SchemaVersionError) reports "schema
+    # version X vs Y" through main()'s error path, never a traceback.
+    with api.store_open(args.store_dir) as store:
         for path in args.outcomes:
-            try:
-                stats = store.ingest_outcomes_file(
-                    path, ts=args.at, tolerant=not args.strict
-                )
-            except (TelemetryError, SchemaError) as exc:
-                # Includes SchemaVersionError: a major-version artifact
-                # reports "schema version X vs Y", never a traceback.
-                logger.error("%s", exc)
-                return 1
+            stats = store.ingest_outcomes_file(
+                path, ts=args.at, tolerant=not args.strict
+            )
             line = f"{path}: ingested {stats['ingested']} outcome(s)"
             if stats.get("skipped_lines"):
                 line += f", skipped {stats['skipped_lines']} line(s)"
@@ -835,15 +749,9 @@ def _cmd_store_ingest(args: argparse.Namespace) -> int:
                 n = store.ingest_prom_text(handle.read(), ts=args.at)
             print(f"{path}: ingested {n} metric sample(s)")
         for path in args.snapshot_file:
-            try:
-                snapshot = api.read_snapshot(path)
-            except SchemaError as exc:
-                logger.error("%s", exc)
-                return 1
+            snapshot = api.read_snapshot(path)
             store.ingest_snapshot(snapshot, ts=args.at)
             print(f"{path}: ingested fleet snapshot #{snapshot.seq}")
-    finally:
-        store.close()
     return 0
 
 
@@ -858,17 +766,11 @@ def _store_range(args: argparse.Namespace, query):
 
 
 def _cmd_store_query(args: argparse.Namespace) -> int:
-    import json as _json
-
-    from repro.store import StoreQuery
-
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
-        query = StoreQuery(store)
+    if args.what == "qoe" and not args.metric:
+        logger.error("qoe queries need --metric NAME")
+        return 2
+    with api.store_open(args.store_dir, create=False) as store:
+        query = api.store_query(store)
         since, until = _store_range(args, query)
         if args.what != "totals" and since is None:
             print("store is empty")
@@ -915,9 +817,6 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
                 match=args.match,
             )
         elif args.what == "qoe":
-            if not args.metric:
-                logger.error("qoe queries need --metric NAME")
-                return 2
             bucket = args.bucket or max((until - since) / 24.0, 1.0)
             result = query.qoe_trend(
                 args.metric, bucket_s=bucket, since=since, until=until
@@ -929,89 +828,70 @@ def _cmd_store_query(args: argparse.Namespace) -> int:
                     args.match or "*", since=since, until=until
                 )
             ]
-        if args.json:
-            print(_json.dumps(result, indent=2, sort_keys=True))
-        elif isinstance(result, dict):
-            for key, value in result.items():
-                print(f"{key}: {value}")
-        else:
-            for row in result:
-                if isinstance(row, dict):
-                    print(
-                        "  ".join(
-                            f"{key}={value}" for key, value in row.items()
-                        )
-                    )
-                else:
-                    print(row)
-    finally:
-        store.close()
+    if args.json:
+        print(json.dumps(result, indent=2, sort_keys=True))
+    elif isinstance(result, dict):
+        for key, value in result.items():
+            print(f"{key}: {value}")
+    else:
+        for row in result:
+            if isinstance(row, dict):
+                print(
+                    "  ".join(f"{key}={value}" for key, value in row.items())
+                )
+            else:
+                print(row)
     return 0
 
 
 def _cmd_store_alerts(args: argparse.Namespace) -> int:
-    from repro.store import StoreQuery
+    from repro.store import AlertEvent
 
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
-        query = StoreQuery(store)
-        if not args.rules:
-            # No rule file: list the transitions already on record.
-            recorded = query.alerts(
-                since=args.since, until=args.until, rule=args.rule
+    engine = None
+    with api.store_open(args.store_dir, create=False) as store:
+        query = api.store_query(store)
+        if args.rules:
+            engine = api.store_alerts(
+                args.rules, store=store if args.record else None
             )
-            if not recorded:
-                print("no recorded alerts")
+            since, until = _store_range(args, query)
+            if since is None:
+                print("store is empty")
                 return 0
-            for entry in recorded:
-                print(
-                    f"[{entry['ts']:.0f}] {entry['severity']:<5} "
-                    f"{entry['rule']} {entry['state']}: {entry['message']}"
-                )
-            return 0
-        engine = api.store_alerts(
-            args.rules, store=store if args.record else None
-        )
-        since, until = _store_range(args, query)
-        if since is None:
-            print("store is empty")
-            return 0
-        events = engine.evaluate_range(
-            query, since=since, until=until, step_s=args.step
-        )
-        for event in events:
-            print(
-                f"[{event.ts:.0f}] {event.severity:<5} {event.rule} "
-                f"{event.state}: {event.message}"
+            events = engine.evaluate_range(
+                query, since=since, until=until, step_s=args.step
             )
-        firing = engine.firing
+        else:
+            # No rule file: list the transitions already on record.
+            events = [
+                AlertEvent(**entry)
+                for entry in query.alerts(
+                    since=args.since, until=args.until, rule=args.rule
+                )
+            ]
+    for event in events:
         print(
-            f"{len(events)} transition(s); "
-            + (f"firing at end: {', '.join(firing)}" if firing else
-               "nothing firing at end")
+            f"[{event.ts:.0f}] {event.severity:<5} {event.rule} "
+            f"{event.state}: {event.message}"
         )
-    except ConfigError as exc:
-        logger.error("%s", exc)
-        return 1
-    finally:
-        store.close()
+    if engine is None:
+        if not events:
+            print("no recorded alerts")
+        return 0
+    firing = engine.firing
+    print(
+        f"{len(events)} transition(s); "
+        + (f"firing at end: {', '.join(firing)}" if firing else
+           "nothing firing at end")
+    )
     return 0
 
 
 def _cmd_store_report(args: argparse.Namespace) -> int:
-    from repro.store import AlertEvent, StoreQuery, render_incident_report
+    from repro.store import AlertEvent, render_incident_report
 
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
-        query = StoreQuery(store)
+    with api.store_open(args.store_dir, create=False) as store:
+        query = api.store_query(store)
         recorded = query.alerts(rule=args.rule, state=args.state)
         if not recorded:
             logger.error(
@@ -1020,79 +900,41 @@ def _cmd_store_report(args: argparse.Namespace) -> int:
                 + " — run `repro store alerts --rules FILE --record` first"
             )
             return 1
-        entry = recorded[-1]  # newest transition wins
-        event = AlertEvent(
-            rule=str(entry["rule"]),
-            state=str(entry["state"]),
-            ts=float(entry["ts"]),
-            signal=str(entry["signal"]),
-            value=float(entry["value"]),
-            threshold=float(entry["threshold"]),
-            window_s=float(entry["window_s"]),
-            severity=str(entry["severity"]),
-            message=str(entry["message"]),
-            labels=dict(entry["labels"]),
-        )
-        report = render_incident_report(event, query)
-        if args.out:
-            with open(args.out, "w") as handle:
-                handle.write(report)
-            print(f"wrote {args.out}")
-        else:
-            print(report)
-    finally:
-        store.close()
+        # Newest transition wins; the row's columns are AlertEvent's
+        # fields, typed by the table's REAL/TEXT affinities.
+        report = render_incident_report(AlertEvent(**recorded[-1]), query)
+    if args.out:
+        with open(args.out, "w") as handle:
+            handle.write(report)
+        print(f"wrote {args.out}")
+    else:
+        print(report)
     return 0
 
 
 def _cmd_store_compact(args: argparse.Namespace) -> int:
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
+    with api.store_open(args.store_dir, create=False) as store:
         summary = store.compact(
             max_age_s=args.max_age_s, max_bytes=args.max_bytes
         )
-        print(
-            f"removed {summary['partitions_removed']} partition(s), "
-            f"{summary['bytes_removed']} segment byte(s), "
-            f"{summary['rows_deleted']} index row(s)"
-        )
-    finally:
-        store.close()
+    print(
+        f"removed {summary['partitions_removed']} partition(s), "
+        f"{summary['bytes_removed']} segment byte(s), "
+        f"{summary['rows_deleted']} index row(s)"
+    )
     return 0
 
 
 def _cmd_store_reindex(args: argparse.Namespace) -> int:
-    try:
-        store = _open_store(args, create=False)
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    try:
+    with api.store_open(args.store_dir, create=False) as store:
         counts = store.reindex()
-        print(
-            f"reindexed {counts['outcomes']} outcome(s), "
-            f"{counts['snapshots']} snapshot(s), "
-            f"{counts['metrics']} metric sample(s), "
-            f"{counts['alerts']} alert(s), "
-            f"{counts['trace_spans']} trace span(s)"
-        )
-    except (TelemetryError, SchemaError) as exc:
-        logger.error("%s", exc)
-        return 1
-    finally:
-        store.close()
-    return 0
-
-
-def _cmd_codegen(args: argparse.Namespace) -> int:
-    with open(args.chains) as handle:
-        text = handle.read()
-    chains = parse_chains(text)
-    print(generate_python_source(chains))
+    print(
+        f"reindexed {counts['outcomes']} outcome(s), "
+        f"{counts['snapshots']} snapshot(s), "
+        f"{counts['metrics']} metric sample(s), "
+        f"{counts['alerts']} alert(s), "
+        f"{counts['trace_spans']} trace span(s)"
+    )
     return 0
 
 
@@ -1101,30 +943,26 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
 
     try:
         print(report_from_files(args.events))
-    except FileNotFoundError as exc:
-        logger.error("%s", exc)
-        return 1
+    except FileNotFoundError:
+        raise  # main() logs it as is: the path says it all
     except (OSError, ValueError, SchemaError) as exc:
-        logger.error(
-            "%s: unreadable event log: %s", " ".join(args.events), exc
-        )
-        return 1
+        raise ReproError(
+            f"{' '.join(args.events)}: unreadable event log: {exc}"
+        ) from exc
     return 0
 
 
 def _cmd_obs_trace(args: argparse.Namespace) -> int:
-    from repro.api import store_trace
     from repro.obs.trace import render_trace_timeline
 
     try:
-        spans = store_trace(
+        spans = api.store_trace(
             args.store,
             campaign_id=args.campaign_id,
             trace_id=args.trace_id,
         )
     except (OSError, ReproError) as exc:
-        logger.error("%s: %s", args.store, exc)
-        return 1
+        raise ReproError(f"{args.store}: {exc}") from exc
     if not spans:
         selector = args.campaign_id or args.trace_id or "any"
         print(f"no trace spans in {args.store} for {selector}")
@@ -1136,10 +974,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
 def _cmd_causal_bench(args: argparse.Namespace) -> int:
     from repro.causal import render_leaderboard
 
-    matrix = get_preset(args.preset)
-    if args.base_seed is not None:
-        matrix = matrix.with_base_seed(args.base_seed)
-    scenarios = matrix.expand()
+    matrix, scenarios = _scenarios(args)
     print(
         f"causal bench {matrix.name}: {len(scenarios)} sessions, "
         f"workers={args.workers}"
@@ -1166,11 +1001,7 @@ def _cmd_causal_bench(args: argparse.Namespace) -> int:
 def _cmd_causal_score(args: argparse.Namespace) -> int:
     from repro.causal import render_leaderboard, score_outcomes
 
-    try:
-        outcomes = list(iter_outcomes(args.outcomes))
-    except TelemetryError as exc:
-        logger.error("%s", exc)
-        return 1
+    outcomes = list(iter_outcomes(args.outcomes))
     report = score_outcomes(outcomes, campaign=args.outcomes)
     if not report.n_labeled:
         print(
@@ -1182,38 +1013,181 @@ def _cmd_causal_score(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_cluster_client_args(parser: argparse.ArgumentParser) -> None:
-    """Auth/TLS options shared by every cluster-connecting command."""
-    parser.add_argument(
-        "--auth-token",
-        default=None,
-        help="shared cluster auth token presented at handshake "
-        "(default: $REPRO_CLUSTER_TOKEN)",
-    )
-    parser.add_argument(
-        "--tls",
-        action="store_true",
-        help="connect over TLS using the system trust store",
-    )
-    parser.add_argument(
-        "--tls-ca",
-        default=None,
-        metavar="PEM",
-        help="connect over TLS, trusting exactly this CA / self-signed "
-        "coordinator certificate",
-    )
+# -- parent parsers: each shared option group is declared once ----------------
 
 
-def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
+def _parent(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
+def _profile_parent() -> argparse.ArgumentParser:
     """`--profile FILE`: sampling wall-clock profiler around the command."""
-    parser.add_argument(
+    parent = _parent()
+    parent.add_argument(
         "--profile",
         dest="profile_out",
-        default=None,
         metavar="FILE",
         help="write a sampling wall-clock profile of this command as "
         "collapsed stacks (flamegraph.pl / speedscope input)",
     )
+    return parent
+
+
+def _cluster_parent(
+    connect: Optional[str] = "coordinator address", *, required: bool = True
+) -> argparse.ArgumentParser:
+    """Cluster connection: ``--connect`` (help *connect*; left out when
+    None) and the auth/TLS options of every cluster-connecting command."""
+    parent = _parent()
+    if connect is not None:
+        parent.add_argument(
+            "--connect",
+            required=required,
+            type=_parse_address,
+            metavar="HOST:PORT",
+            help=connect,
+        )
+    parent.add_argument(
+        "--auth-token",
+        help="shared cluster auth token presented at handshake "
+        "(default: $REPRO_CLUSTER_TOKEN)",
+    )
+    parent.add_argument(
+        "--tls",
+        action="store_true",
+        help="connect over TLS using the system trust store",
+    )
+    parent.add_argument(
+        "--tls-ca",
+        metavar="PEM",
+        help="connect over TLS, trusting exactly this CA / self-signed "
+        "coordinator certificate",
+    )
+    return parent
+
+
+def _preset_parent(
+    preset: Optional[str], help: Optional[str] = None
+) -> argparse.ArgumentParser:
+    """Scenario source: ``--preset`` (default *preset*) and
+    ``--base-seed``, read back by :func:`_scenarios`."""
+    parent = _parent()
+    parent.add_argument(
+        "--preset", default=preset, choices=sorted(PRESETS), help=help
+    )
+    parent.add_argument(
+        "--base-seed",
+        type=int,
+        help="override the preset's campaign base seed",
+    )
+    return parent
+
+
+def _campaign_parent(
+    preset: Optional[str], help: Optional[str] = None, *, remote: bool
+) -> argparse.ArgumentParser:
+    """Campaign source: the preset options plus caching, fail-fast,
+    trace export and the outcomes file.  With *remote* the campaign
+    runs on cluster workers, so cache and trace paths are theirs."""
+    parent = _parent(_preset_parent(preset, help))
+    parent.add_argument(
+        "--cache-dir",
+        default=".fleet-cache",
+        help="ask workers to cache outcomes (worker-local path)"
+        if remote
+        else "per-scenario outcome cache (keyed on scenario fingerprint "
+        "+ detector config hash); repeat runs skip simulation",
+    )
+    parent.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="ignore and do not update the outcome cache",
+    )
+    parent.add_argument(
+        "--fail-fast",
+        action="store_true",
+        help="cancel queued scenarios as soon as one errors",
+    )
+    parent.add_argument(
+        "--trace-dir",
+        help="ask workers to export telemetry shards (worker-local path)"
+        if remote
+        else "also export each session's full telemetry as a JSONL shard",
+    )
+    parent.add_argument("--out", help="write per-session outcomes JSONL here")
+    return parent
+
+
+def _coordinator_parent(port: int, title: str) -> argparse.ArgumentParser:
+    """Where a campaign coordinator listens, and its journal."""
+    parent = _parent()
+    group = parent.add_argument_group(title)
+    group.add_argument(
+        "--bind", default="127.0.0.1", help="coordinator bind address"
+    )
+    group.add_argument(
+        "--port",
+        type=int,
+        default=port,
+        help="coordinator listen port (0 = ephemeral, printed at start)",
+    )
+    group.add_argument(
+        "--min-workers",
+        type=_positive_int,
+        default=1,
+        help="wait for this many workers before dispatching",
+    )
+    group.add_argument(
+        "--journal",
+        metavar="FILE",
+        help="write-ahead campaign journal, replayed on start: a "
+        "campaign interrupted by a crash resumes from its settled "
+        "outcomes instead of starting over",
+    )
+    return parent
+
+
+def _live_plane_parent() -> argparse.ArgumentParser:
+    """Live plane: fleet snapshots, ingest backpressure, store tee."""
+    parent = _parent()
+    parent.add_argument(
+        "--snapshot", help="write each fleet snapshot here (for `watch`)"
+    )
+    parent.add_argument(
+        "--snapshot-every", type=float, default=1.0, help="seconds"
+    )
+    parent.add_argument(
+        "--backpressure",
+        default="block",
+        choices=("block", "drop_oldest"),
+        help="full-queue policy for live ingest: pause the feed, or "
+        "drop the oldest batches and count them as lag",
+    )
+    parent.add_argument(
+        "--store",
+        metavar="DIR",
+        help="tee every fleet snapshot into the historical store at "
+        "DIR (created if missing)",
+    )
+    return parent
+
+
+def _store_parent(*, ranged: bool = False) -> argparse.ArgumentParser:
+    """The store directory, plus ``--since/--until`` when *ranged*."""
+    parent = _parent()
+    parent.add_argument("store_dir", help="store directory")
+    if ranged:
+        parent.add_argument(
+            "--since",
+            type=float,
+            help="range start, epoch seconds (default: oldest row)",
+        )
+        parent.add_argument(
+            "--until",
+            type=float,
+            help="range end, epoch seconds (default: newest row)",
+        )
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1237,13 +1211,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics-file",
-        default=None,
         help="write a Prometheus-text metrics snapshot here when the "
         "command finishes (long-running commands flush periodically)",
     )
     parser.add_argument(
         "--events-file",
-        default=None,
         help="append one versioned JSONL span event here per timed "
         "pipeline stage (summarize with `repro obs report`)",
     )
@@ -1262,13 +1234,14 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", required=True)
     simulate.set_defaults(fn=_cmd_simulate)
 
-    analyze = sub.add_parser("analyze", help="run Domino over a trace")
+    analyze = sub.add_parser(
+        "analyze", parents=[_profile_parent()], help="run Domino over a trace"
+    )
     analyze.add_argument("trace")
     analyze.add_argument("--chains", help="custom chain DSL file")
     analyze.add_argument("--window", type=float, default=5.0)
     analyze.add_argument("--step", type=float, default=0.5)
     analyze.add_argument("--limit", type=int, default=20)
-    _add_profile_arg(analyze)
     analyze.set_defaults(fn=_cmd_analyze)
 
     report = sub.add_parser("report", help="QoE summary of a trace")
@@ -1282,37 +1255,15 @@ def build_parser() -> argparse.ArgumentParser:
     codegen.set_defaults(fn=_cmd_codegen)
 
     fleet = sub.add_parser(
-        "fleet", help="run a multi-session campaign and aggregate RCA"
+        "fleet",
+        parents=[
+            _campaign_parent("smoke", remote=False),
+            _coordinator_parent(0, "cluster dispatch (--dispatch cluster)"),
+            _profile_parent(),
+        ],
+        help="run a multi-session campaign and aggregate RCA",
     )
-    fleet.add_argument("--preset", default="smoke", choices=sorted(PRESETS))
     fleet.add_argument("--workers", type=_positive_int, default=1)
-    fleet.add_argument("--out", help="write per-session outcomes JSONL here")
-    fleet.add_argument(
-        "--trace-dir",
-        help="also export each session's full telemetry as a JSONL shard",
-    )
-    fleet.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="override the preset's campaign base seed",
-    )
-    fleet.add_argument(
-        "--cache-dir",
-        default=".fleet-cache",
-        help="per-scenario outcome cache (keyed on scenario fingerprint "
-        "+ detector config hash); repeat runs skip simulation",
-    )
-    fleet.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not update the outcome cache",
-    )
-    fleet.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="cancel queued scenarios as soon as one errors",
-    )
     fleet.add_argument(
         "--dispatch",
         default="local",
@@ -1321,33 +1272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve them to connected `repro cluster worker` peers",
     )
     fleet.add_argument(
-        "--bind",
-        default="127.0.0.1",
-        help="cluster coordinator bind address (dispatch=cluster)",
-    )
-    fleet.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="cluster coordinator port (0 = ephemeral, printed at start)",
-    )
-    fleet.add_argument(
-        "--min-workers",
-        type=_positive_int,
-        default=1,
-        help="wait for this many workers before dispatching",
-    )
-    fleet.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help="write-ahead campaign journal (dispatch=cluster): an "
-        "interrupted campaign resumes from its settled outcomes on "
-        "the next run instead of starting over",
-    )
-    fleet.add_argument(
         "--store",
-        default=None,
         metavar="DIR",
         help="also ingest the campaign's outcomes into the historical "
         "store at DIR (created if missing; query with `repro store`); "
@@ -1357,11 +1282,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--store-at",
         type=float,
-        default=None,
         metavar="TS",
         help="store ingest timestamp, epoch seconds (default: now)",
     )
-    _add_profile_arg(fleet)
     fleet.set_defaults(fn=_cmd_fleet)
 
     fleet_report = sub.add_parser(
@@ -1372,6 +1295,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     live = sub.add_parser(
         "live",
+        parents=[
+            _preset_parent(
+                "smoke", "scenario preset the sessions cycle through"
+            ),
+            _live_plane_parent(),
+            _cluster_parent(None),
+            _profile_parent(),
+        ],
         help="run the live RCA service over N concurrent sessions",
     )
     live.add_argument(
@@ -1382,12 +1313,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=20.0,
         help="telemetry seconds per session",
-    )
-    live.add_argument(
-        "--preset",
-        default="smoke",
-        choices=sorted(PRESETS),
-        help="scenario preset the sessions cycle through",
     )
     live.add_argument(
         "--source",
@@ -1402,31 +1327,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="realtime multiplier per feed (0 = as fast as possible)",
     )
     live.add_argument(
-        "--backpressure",
-        default="block",
-        choices=("block", "drop_oldest"),
-        help="full-queue policy: pause the feed, or drop oldest "
-        "batches and count them as lag",
-    )
-    live.add_argument(
         "--queue-batches",
         type=_positive_int,
         default=64,
         help="per-session ingest queue bound",
     )
     live.add_argument(
-        "--snapshot", help="write each fleet snapshot here (for `watch`)"
-    )
-    live.add_argument(
-        "--snapshot-every", type=float, default=1.0, help="seconds"
-    )
-    live.add_argument(
         "--idle-timeout",
         type=float,
-        default=None,
         help="evict sessions idle longer than this many seconds",
     )
-    live.add_argument("--base-seed", type=int, default=None)
     live.add_argument(
         "--quiet", action="store_true", help="suppress per-snapshot lines"
     )
@@ -1443,32 +1353,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="autotune each session's advance interval: back off "
         "under sustained lag, speed up when idle",
     )
-    live.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="tee every fleet snapshot into the historical store at "
-        "DIR (created if missing)",
-    )
-    _add_cluster_client_args(live)
-    _add_profile_arg(live)
     live.set_defaults(fn=_cmd_live)
 
     watch = sub.add_parser(
-        "watch", help="render a live-service snapshot as a dashboard"
+        "watch",
+        parents=[
+            _cluster_parent(
+                "stream snapshots from a cluster coordinator instead of "
+                "reading a file",
+                required=False,
+            )
+        ],
+        help="render a live-service snapshot as a dashboard",
     )
     watch.add_argument(
         "snapshot",
         nargs="?",
-        default=None,
         help="snapshot JSON `repro live` or a coordinator wrote",
-    )
-    watch.add_argument(
-        "--connect",
-        type=_parse_address,
-        metavar="HOST:PORT",
-        help="stream snapshots from a cluster coordinator instead of "
-        "reading a file",
     )
     watch.add_argument(
         "--follow",
@@ -1479,19 +1380,16 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--interval", type=float, default=1.0)
     watch.add_argument(
         "--rules",
-        default=None,
         metavar="FILE",
         help="evaluate these alert rules live against each snapshot "
         "and render an Alerts pane (firing/resolved transitions)",
     )
     watch.add_argument(
         "--store",
-        default=None,
         metavar="DIR",
         help="with --rules: also record alert transitions durably in "
         "the store at DIR",
     )
-    _add_cluster_client_args(watch)
     watch.set_defaults(fn=_cmd_watch)
 
     cluster = sub.add_parser(
@@ -1501,107 +1399,49 @@ def build_parser() -> argparse.ArgumentParser:
 
     coordinator = csub.add_parser(
         "coordinator",
+        parents=[
+            _campaign_parent(
+                None,
+                "run this campaign over connected workers, then exit "
+                "(omit to serve the live plane until Ctrl-C)",
+                remote=True,
+            ),
+            _coordinator_parent(7077, "coordinator"),
+            _live_plane_parent(),
+        ],
         help="serve workers and live supervisors; optionally run a "
         "campaign preset",
     )
-    coordinator.add_argument("--bind", default="127.0.0.1")
-    coordinator.add_argument(
-        "--port",
-        type=int,
-        default=7077,
-        help="listen port (0 = ephemeral, printed at start)",
-    )
-    coordinator.add_argument(
-        "--preset",
-        default=None,
-        choices=sorted(PRESETS),
-        help="run this campaign over connected workers, then exit "
-        "(omit to serve the live plane until Ctrl-C)",
-    )
-    coordinator.add_argument("--base-seed", type=int, default=None)
-    coordinator.add_argument(
-        "--min-workers", type=_positive_int, default=1
-    )
-    coordinator.add_argument(
-        "--out", help="write per-session outcomes JSONL here"
-    )
-    coordinator.add_argument(
-        "--trace-dir",
-        help="ask workers to export telemetry shards (worker-local path)",
-    )
-    coordinator.add_argument(
-        "--cache-dir",
-        default=".fleet-cache",
-        help="ask workers to cache outcomes (worker-local path)",
-    )
-    coordinator.add_argument("--no-cache", action="store_true")
-    coordinator.add_argument("--fail-fast", action="store_true")
     coordinator.add_argument(
         "--heartbeat", type=float, default=2.0, help="seconds"
     )
     coordinator.add_argument(
         "--worker-timeout",
         type=float,
-        default=None,
         help="declare a silent worker dead after this many seconds "
         "(default 5x heartbeat) and requeue its scenarios",
     )
     coordinator.add_argument(
-        "--backpressure",
-        default="block",
-        choices=("block", "drop_oldest"),
-        help="live-plane ingest policy when the fold queue is full",
-    )
-    coordinator.add_argument(
-        "--snapshot", help="write fleet snapshots here (for `watch`)"
-    )
-    coordinator.add_argument(
-        "--snapshot-every", type=float, default=1.0, help="seconds"
-    )
-    coordinator.add_argument(
-        "--store",
-        default=None,
-        metavar="DIR",
-        help="tee every fleet snapshot into the historical store at "
-        "DIR (created if missing)",
-    )
-    coordinator.add_argument(
-        "--journal",
-        default=None,
-        metavar="FILE",
-        help="write-ahead campaign journal: replayed on start so "
-        "campaigns interrupted by a crash resume from their settled "
-        "outcomes",
-    )
-    coordinator.add_argument(
         "--auth-token",
-        default=None,
         help="require this token from every connecting peer "
         "(default: $REPRO_CLUSTER_TOKEN)",
     )
     coordinator.add_argument(
         "--tls-cert",
-        default=None,
         metavar="PEM",
         help="serve TLS with this certificate (requires --tls-key)",
     )
     coordinator.add_argument(
         "--tls-key",
-        default=None,
         metavar="PEM",
         help="private key for --tls-cert",
     )
     coordinator.set_defaults(fn=_cmd_cluster_coordinator)
 
     worker = csub.add_parser(
-        "worker", help="run dispatched scenarios for a coordinator"
-    )
-    worker.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-        help="coordinator address",
+        "worker",
+        parents=[_cluster_parent()],
+        help="run dispatched scenarios for a coordinator",
     )
     worker.add_argument(
         "--slots",
@@ -1609,15 +1449,13 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="concurrent scenarios (process-pool size)",
     )
-    worker.add_argument("--name", default=None)
+    worker.add_argument("--name")
     worker.add_argument(
         "--cache-dir",
-        default=None,
         help="override the coordinator's cache dir with a local one",
     )
     worker.add_argument(
         "--trace-dir",
-        default=None,
         help="override the coordinator's trace dir with a local one",
     )
     worker.add_argument(
@@ -1632,53 +1470,28 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument(
         "--reconnect-timeout",
         type=float,
-        default=None,
         metavar="SECONDS",
         help="give up redialing after this long per outage "
         "(default: keep trying until stopped)",
     )
-    _add_cluster_client_args(worker)
     worker.set_defaults(fn=_cmd_cluster_worker)
 
     queue = csub.add_parser(
         "queue",
+        parents=[_cluster_parent(), _campaign_parent("smoke", remote=True)],
         help="submit a campaign preset to a standing coordinator's "
         "queue",
     )
     queue.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-        help="coordinator address",
-    )
-    queue.add_argument(
-        "--preset", default="smoke", choices=sorted(PRESETS)
-    )
-    queue.add_argument("--base-seed", type=int, default=None)
-    queue.add_argument(
         "--campaign-id",
-        default=None,
         help="explicit campaign id (default: deterministic digest of "
         "the scenarios)",
     )
     queue.add_argument(
-        "--trace-dir",
-        help="ask workers to export telemetry shards (worker-local "
-        "path)",
-    )
-    queue.add_argument(
-        "--cache-dir",
-        default=".fleet-cache",
-        help="ask workers to cache outcomes (worker-local path)",
-    )
-    queue.add_argument("--no-cache", action="store_true")
-    queue.add_argument("--fail-fast", action="store_true")
-    queue.add_argument(
         "--wait",
         action="store_true",
         help="stay connected until the campaign finishes, then fetch "
-        "and report its outcomes",
+        "and report its outcomes (and write them to --out)",
     )
     queue.add_argument(
         "--interval",
@@ -1686,35 +1499,21 @@ def build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="progress poll interval with --wait (seconds)",
     )
-    queue.add_argument(
-        "--out", help="write fetched outcomes JSONL here (--wait only)"
-    )
-    _add_cluster_client_args(queue)
     queue.set_defaults(fn=_cmd_cluster_queue)
 
     status = csub.add_parser(
-        "status", help="show a coordinator's campaign queue"
+        "status",
+        parents=[_cluster_parent()],
+        help="show a coordinator's campaign queue",
     )
-    status.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-    )
-    _add_cluster_client_args(status)
     status.set_defaults(fn=_cmd_cluster_status)
 
     cancel = csub.add_parser(
-        "cancel", help="cancel an active campaign on a coordinator"
+        "cancel",
+        parents=[_cluster_parent()],
+        help="cancel an active campaign on a coordinator",
     )
     cancel.add_argument("campaign_id")
-    cancel.add_argument(
-        "--connect",
-        required=True,
-        type=_parse_address,
-        metavar="HOST:PORT",
-    )
-    _add_cluster_client_args(cancel)
     cancel.set_defaults(fn=_cmd_cluster_cancel)
 
     obs = sub.add_parser(
@@ -1743,7 +1542,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_trace.add_argument(
         "campaign_id",
         nargs="?",
-        default=None,
         help="campaign id (glob ok; default: every stored trace)",
     )
     obs_trace.add_argument(
@@ -1754,7 +1552,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs_trace.add_argument(
         "--trace-id",
-        default=None,
         help="select one trace by id instead of by campaign",
     )
     obs_trace.add_argument(
@@ -1773,14 +1570,13 @@ def build_parser() -> argparse.ArgumentParser:
     causal_sub = causal.add_subparsers(dest="causal_command", required=True)
     causal_bench = causal_sub.add_parser(
         "bench",
+        parents=[
+            _preset_parent(
+                "adversarial", "scenario preset (default: adversarial)"
+            )
+        ],
         help="run a confounder campaign and print the ground-truth "
         "leaderboard (F1 per detector, confusion per axis)",
-    )
-    causal_bench.add_argument(
-        "--preset",
-        default="adversarial",
-        choices=sorted(PRESETS),
-        help="scenario preset (default: adversarial)",
     )
     causal_bench.add_argument(
         "--workers",
@@ -1789,20 +1585,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel session workers (default: CPU count)",
     )
     causal_bench.add_argument(
-        "--base-seed",
-        type=int,
-        default=None,
-        help="re-seed the preset's scenario matrix",
-    )
-    causal_bench.add_argument(
         "--cache-dir",
-        default=None,
         metavar="DIR",
         help="reuse cached per-scenario outcomes from DIR",
     )
     causal_bench.add_argument(
         "--out",
-        default=None,
         metavar="FILE",
         help="also write the scored causal_report artifact as JSON",
     )
@@ -1827,28 +1615,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssub = store.add_subparsers(dest="store_command", required=True)
 
-    def _store_dir_arg(p: argparse.ArgumentParser) -> None:
-        p.add_argument("store_dir", help="store directory")
-
-    def _store_range_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--since",
-            type=float,
-            default=None,
-            help="range start, epoch seconds (default: oldest row)",
-        )
-        p.add_argument(
-            "--until",
-            type=float,
-            default=None,
-            help="range end, epoch seconds (default: newest row)",
-        )
-
     ingest = ssub.add_parser(
         "ingest",
+        parents=[_store_parent()],
         help="ingest campaign outcomes / snapshots / metric snapshots",
     )
-    _store_dir_arg(ingest)
     ingest.add_argument(
         "outcomes",
         nargs="*",
@@ -1872,7 +1643,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument(
         "--at",
         type=float,
-        default=None,
         help="ingest timestamp, epoch seconds (default: now); pins "
         "partition assignment for reproducible windows",
     )
@@ -1885,9 +1655,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(fn=_cmd_store_ingest)
 
     query = ssub.add_parser(
-        "query", help="rollups, series, movers, QoE trends"
+        "query",
+        parents=[_store_parent(ranged=True)],
+        help="rollups, series, movers, QoE trends",
     )
-    _store_dir_arg(query)
     query.add_argument(
         "what",
         choices=(
@@ -1905,42 +1676,33 @@ def build_parser() -> argparse.ArgumentParser:
         "halves of the range (see --split); qoe: percentile trend; "
         "metrics: stored metric samples",
     )
-    _store_range_args(query)
     query.add_argument(
         "--kind",
         default="chain",
         choices=("chain", "cause", "consequence"),
         help="episode kind for rollup/series/movers",
     )
-    query.add_argument(
-        "--match", default=None, help="glob over chain/metric names"
-    )
+    query.add_argument("--match", help="glob over chain/metric names")
     query.add_argument(
         "--group",
         default="profile",
         choices=("profile", "impairment", "scenario"),
         help="grouping for `outcomes`",
     )
-    query.add_argument(
-        "--top", type=int, default=None, help="limit rows (movers: k)"
-    )
+    query.add_argument("--top", type=int, help="limit rows (movers: k)")
     query.add_argument(
         "--bucket",
         type=float,
-        default=None,
         help="bucket width in seconds for series/qoe "
         "(default: range/24)",
     )
     query.add_argument(
         "--split",
         type=float,
-        default=None,
         help="movers: boundary between window A and window B "
         "(default: range midpoint)",
     )
-    query.add_argument(
-        "--metric", default=None, help="QoE metric name for `qoe`"
-    )
+    query.add_argument("--metric", help="QoE metric name for `qoe`")
     query.add_argument(
         "--json", action="store_true", help="emit JSON instead of text"
     )
@@ -1948,22 +1710,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     alerts = ssub.add_parser(
         "alerts",
+        parents=[_store_parent(ranged=True)],
         help="evaluate alert rules over history, or list recorded "
         "transitions",
     )
-    _store_dir_arg(alerts)
     alerts.add_argument(
         "--rules",
-        default=None,
         metavar="FILE",
         help="TOML/JSON rule file to evaluate (omit to list recorded "
         "alerts)",
     )
-    _store_range_args(alerts)
     alerts.add_argument(
         "--step",
         type=float,
-        default=None,
         help="evaluation stride in seconds (default: each rule's "
         "window width)",
     )
@@ -1972,52 +1731,47 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="record emitted transitions durably in the store",
     )
-    alerts.add_argument(
-        "--rule", default=None, help="filter recorded alerts by rule name"
-    )
+    alerts.add_argument("--rule", help="filter recorded alerts by rule name")
     alerts.set_defaults(fn=_cmd_store_alerts)
 
     report_cmd = ssub.add_parser(
         "report",
+        parents=[_store_parent()],
         help="render a Markdown incident report for a recorded alert",
     )
-    _store_dir_arg(report_cmd)
-    report_cmd.add_argument(
-        "--rule", default=None, help="rule name (default: newest alert)"
-    )
+    report_cmd.add_argument("--rule", help="rule name (default: newest alert)")
     report_cmd.add_argument(
         "--state",
-        default=None,
         choices=("firing", "resolved"),
         help="pick the newest transition with this state",
     )
     report_cmd.add_argument(
-        "--out", default=None, help="write the report here (default: stdout)"
+        "--out", help="write the report here (default: stdout)"
     )
     report_cmd.set_defaults(fn=_cmd_store_report)
 
     compact = ssub.add_parser(
-        "compact", help="retention: drop oldest partitions by age/size"
+        "compact",
+        parents=[_store_parent()],
+        help="retention: drop oldest partitions by age/size",
     )
-    _store_dir_arg(compact)
     compact.add_argument(
         "--max-age-s",
         type=float,
-        default=None,
         help="drop partitions entirely older than this many seconds",
     )
     compact.add_argument(
         "--max-bytes",
         type=int,
-        default=None,
         help="drop oldest partitions until segments fit this many bytes",
     )
     compact.set_defaults(fn=_cmd_store_compact)
 
     reindex = ssub.add_parser(
-        "reindex", help="rebuild the sqlite index from the JSONL segments"
+        "reindex",
+        parents=[_store_parent()],
+        help="rebuild the sqlite index from the JSONL segments",
     )
-    _store_dir_arg(reindex)
     reindex.set_defaults(fn=_cmd_store_reindex)
     return parser
 
@@ -2059,13 +1813,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.events_file:
         sink = obs.JsonlSink(args.events_file)
         previous_sink = obs.set_sink(sink)
-    # Long-running service commands also flush periodically (the live
-    # service's metrics_path); every command flushes a final snapshot.
-    if args.metrics_file and getattr(args, "fn", None) is _cmd_live:
-        args.live_metrics_file = args.metrics_file
     try:
         with obs.profile_to_file(getattr(args, "profile_out", None)):
-            return args.fn(args)
+            code = args.fn(args)
+            if inspect.iscoroutine(code):
+                code = asyncio.run(code)
+            return code
+    except (ReproError, OSError) as exc:
+        # One error contract for every command: bad input, an
+        # unreachable or incompatible peer, an unreadable store — one
+        # logged line and exit 1, never a traceback.
+        logger.error("%s", exc)
+        return 1
     finally:
         if sink is not None:
             obs.set_sink(previous_sink)

@@ -31,8 +31,8 @@ length-prefixed JSON frame protocol:
   snapshots), and :class:`CoordinatorControl` (the queue/status/cancel
   control-plane client behind ``repro cluster queue|status|cancel``).
 
-Exposed as ``run_campaign(..., dispatch="cluster")`` for API-compatible
-campaigns (byte-identical to local execution) and on the CLI as
+Exposed as :class:`repro.api.ClusterBackend` for campaigns
+(byte-identical to local execution) and on the CLI as
 ``repro cluster coordinator`` / ``repro cluster worker``.
 
 This ``__init__`` resolves its exports lazily (PEP 562):

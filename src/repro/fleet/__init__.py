@@ -20,7 +20,6 @@ from repro.fleet.executor import (
     detector_config_hash,
     iter_outcomes,
     load_outcomes,
-    run_campaign,
     run_scenario,
     save_outcomes,
     scenario_fingerprint,
@@ -49,7 +48,6 @@ __all__ = [
     "load_outcomes",
     "scenario_fingerprint",
     "render_fleet_report",
-    "run_campaign",
     "run_scenario",
     "save_outcomes",
 ]

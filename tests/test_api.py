@@ -1,15 +1,14 @@
-"""The unified facade: byte-identity with legacy entry points.
+"""The unified facade: byte-identity with the engines it fronts.
 
 Acceptance bar of the API redesign: ``repro.api.analyze`` /
 ``open_stream`` / ``campaign`` must produce byte-identical detections
-and :class:`SessionOutcome` records to the legacy entry points they
-front, the error surface must be one :class:`ReproError` hierarchy, and
-the pre-2.0 imports must keep working behind ``DeprecationWarning``s.
+and :class:`SessionOutcome` records to the engines they front, and the
+error surface must be one :class:`ReproError` hierarchy.  The pre-2.0
+top-level names are removed.
 """
 
 import asyncio
 import json
-import warnings
 
 import pytest
 
@@ -18,6 +17,7 @@ from repro import api, schema
 from repro.core.detector import DetectorConfig, DominoDetector
 from repro.core.streaming import StreamingDomino
 from repro.errors import ConfigError, ReproError, SchemaVersionError
+from repro.fleet.executor import run_scenario
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioMatrix
 from repro.live.service import canonical_detections
 from repro.telemetry.io import save_bundle
@@ -118,17 +118,13 @@ def test_open_stream_byte_identical_to_streaming_domino(private_bundle):
 # -- campaign / backends ---------------------------------------------------------
 
 
-def test_campaign_inline_byte_identical_to_legacy_run_campaign():
+def test_campaign_inline_byte_identical_to_run_scenario():
     scenarios = TINY_MATRIX.expand()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.fleet.executor import run_campaign
-
-        legacy = run_campaign(scenarios, workers=1)
+    engine = [run_scenario(spec) for spec in scenarios]
     facade = api.campaign(TINY_MATRIX, backend=api.InlineBackend())
-    assert _outcome_bytes(facade) == _outcome_bytes(legacy)
+    assert _outcome_bytes(facade) == _outcome_bytes(engine)
     # Default backend is inline.
-    assert _outcome_bytes(api.campaign(scenarios)) == _outcome_bytes(legacy)
+    assert _outcome_bytes(api.campaign(scenarios)) == _outcome_bytes(engine)
 
 
 def test_campaign_process_pool_byte_identical():
@@ -171,27 +167,33 @@ def test_cluster_backend_wires_through_coordinator(monkeypatch):
     monkeypatch.setattr(
         coordinator, "run_cluster_campaign", fake_run_cluster_campaign
     )
+    ssl_context = object()
     backend = api.ClusterBackend(
-        "127.0.0.1", 7099, min_workers=3, worker_wait_s=1.5
+        "127.0.0.1",
+        7099,
+        min_workers=3,
+        worker_wait_s=1.5,
+        journal_path="camp.journal",
+        campaign_id="cid-1",
+        auth_token="s3cret",
+        ssl_context=ssl_context,
     )
     api.campaign(TINY_MATRIX, backend=backend, fail_fast=True)
     assert calls["host"] == "127.0.0.1"
     assert calls["port"] == 7099
     assert calls["min_workers"] == 3
     assert calls["worker_wait_s"] == 1.5
+    assert calls["journal_path"] == "camp.journal"
+    assert calls["campaign_id"] == "cid-1"
+    assert calls["auth_token"] == "s3cret"
+    assert calls["ssl_context"] is ssl_context
     assert calls["fail_fast"] is True
     assert calls["scenarios"] == TINY_MATRIX.expand()
-
-
-def test_legacy_run_campaign_maps_onto_backends():
-    from repro.fleet.executor import run_campaign
-
-    scenarios = TINY_MATRIX.expand()[:1]
-    with pytest.warns(DeprecationWarning, match="repro.api.campaign"):
-        legacy = run_campaign(scenarios, workers=2)
-    assert _outcome_bytes(legacy) == _outcome_bytes(
-        api.campaign(scenarios, backend=api.ProcessPoolBackend(2))
-    )
+    # Without the optional kwargs the coordinator runs open and
+    # unjournaled.
+    api.campaign(TINY_MATRIX, backend=api.ClusterBackend())
+    for key in ("journal_path", "campaign_id", "auth_token", "ssl_context"):
+        assert calls[key] is None, key
 
 
 # -- serve / snapshots -----------------------------------------------------------
@@ -278,7 +280,7 @@ def test_serve_validation_is_repro_error(private_bundle):
         )
 
 
-# -- surface / deprecations ------------------------------------------------------
+# -- surface ---------------------------------------------------------------------
 
 
 def test_api_all_resolves():
@@ -299,16 +301,11 @@ def test_version_bumped():
     "name",
     ["DominoDetector", "DominoStats", "TelemetryBundle", "Timeline", "parse_chains"],
 )
-def test_legacy_top_level_imports_warn_but_work(name):
-    with pytest.warns(DeprecationWarning, match=f"repro.{name} is deprecated"):
-        obj = getattr(repro, name)
-    assert obj is not None
-    # The shim returns the genuine object, not a copy.
-    import repro.core.detector as detector_module
-
-    if name == "DominoDetector":
-        with pytest.warns(DeprecationWarning):
-            assert getattr(repro, name) is detector_module.DominoDetector
+def test_legacy_top_level_names_removed(name):
+    """The pre-2.0 top-level names are gone, not shimmed."""
+    with pytest.raises(AttributeError):
+        getattr(repro, name)
+    assert name not in dir(repro)
 
 
 def test_unknown_attribute_still_raises():

@@ -320,7 +320,7 @@ def test_causal_score_rejects_unlabeled_campaign(tmp_path, capsys):
     assert "no outcome carries ground-truth labels" in capsys.readouterr().out
 
 
-# -- obs ------------------------------------------------------------------------
+# -- obs ----------------------------------------------------------------------
 
 
 def test_obs_report_over_events_file(trace_path, tmp_path, capsys):
@@ -345,7 +345,7 @@ def test_obs_trace_on_store_without_spans(tmp_path, capsys):
     )
 
 
-# -- cluster queue / status / cancel ----------------------------------------------
+# -- cluster queue / status / cancel ------------------------------------------
 
 
 @pytest.fixture()
@@ -358,6 +358,7 @@ def standing_coordinator(monkeypatch):
     """
     import asyncio
     import threading
+    from types import SimpleNamespace
 
     from repro.cluster import ClusterCoordinator, ClusterWorker
     from repro.fleet.scenarios import PRESETS, ScenarioMatrix
@@ -393,14 +394,16 @@ def standing_coordinator(monkeypatch):
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
 
-    coordinator.add_worker = lambda: call(attach())
-    coordinator.address = f"127.0.0.1:{coordinator.port}"
     try:
-        yield coordinator
+        yield SimpleNamespace(
+            address=f"127.0.0.1:{coordinator.port}",
+            add_worker=lambda: call(attach()),
+        )
     finally:
         call(stop())
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=10)
+        assert not thread.is_alive()
         loop.close()
 
 
@@ -463,3 +466,119 @@ def test_cluster_status_unreachable_coordinator_exits_1():
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     assert main(["cluster", "status", "--connect", f"127.0.0.1:{port}"]) == 1
+
+
+# -- one error contract -------------------------------------------------------
+
+
+def _run_cli(argv, cwd):
+    """Run ``python -m repro.cli`` as a subprocess: what a user sees."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run(
+        [sys.executable, "-m", "repro.cli", *argv],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "missing.jsonl"],
+        ["analyze", "garbage.jsonl"],
+        ["report", "garbage.jsonl"],
+        ["codegen", "bad.txt"],
+        ["analyze", "TRACE", "--chains", "bad.txt"],
+    ],
+    ids=["analyze-missing", "analyze-garbage", "report-garbage",
+         "codegen-bad-dsl", "analyze-bad-chains"],
+)
+def test_bad_input_logs_one_error_line_without_traceback(
+    argv, trace_path, tmp_path
+):
+    (tmp_path / "garbage.jsonl").write_text('{"garbage": 1}\n')
+    (tmp_path / "bad.txt").write_text("this is not --> a chain ((\n")
+    argv = [trace_path if arg == "TRACE" else arg for arg in argv]
+    proc = _run_cli(argv, cwd=tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and " ERROR " in lines[0], proc.stderr
+
+
+def test_fleet_journal_needs_cluster_dispatch(tmp_path, capsys):
+    journal = str(tmp_path / "camp.journal")
+    assert main(["fleet", "--journal", journal, "--no-cache"]) == 2
+    assert not (tmp_path / "camp.journal").exists()
+
+
+@pytest.mark.parametrize("journal", [False, True], ids=["plain", "journal"])
+def test_fleet_cluster_dispatch_enforces_env_token(
+    journal, tmp_path, monkeypatch, capsys
+):
+    """`fleet --dispatch cluster` must hand $REPRO_CLUSTER_TOKEN to its
+    coordinator whether or not the campaign is journaled."""
+    from repro import api
+
+    seen = {}
+
+    def fake_campaign(scenarios, *, backend, **kwargs):
+        seen["backend"] = backend
+        return []
+
+    monkeypatch.setattr(api, "campaign", fake_campaign)
+    monkeypatch.setenv("REPRO_CLUSTER_TOKEN", "env-s3cret")
+    argv = ["fleet", "--dispatch", "cluster", "--no-cache"]
+    path = str(tmp_path / "camp.journal")
+    if journal:
+        argv += ["--journal", path]
+    assert main(argv) == 0
+    backend = seen["backend"]
+    assert isinstance(backend, api.ClusterBackend)
+    assert backend.auth_token == "env-s3cret"
+    assert backend.journal_path == (path if journal else None)
+
+
+# -- docs ---------------------------------------------------------------------
+
+
+def _readme_command_lines():
+    """Every `python -m repro.cli ...` / `repro ...` line in README's
+    fenced code blocks, with backslash continuations joined."""
+    import pathlib
+    import re
+
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    commands = []
+    for block in re.findall(r"```[^\n]*\n(.*?)```", readme.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            match = re.match(r"\s*(?:python -m repro\.cli|repro)\s+(.*)", line)
+            if match:
+                commands.append(match.group(1))
+    return commands
+
+
+def test_readme_command_lines_parse():
+    import shlex
+
+    from repro.cli import build_parser
+
+    commands = _readme_command_lines()
+    assert len(commands) > 40  # the extraction itself still works
+    parser = build_parser()
+    for command in commands:
+        try:
+            parser.parse_args(shlex.split(command, comments=True))
+        except SystemExit:
+            pytest.fail(f"README command does not parse: repro {command}")

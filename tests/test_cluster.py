@@ -9,6 +9,7 @@ import socket
 
 import pytest
 
+from repro import api
 from repro.cluster import (
     CampaignJournal,
     ClusterCoordinator,
@@ -45,7 +46,6 @@ from repro.cluster.protocol import (
 )
 from repro.core.detector import DetectorConfig, DominoDetector, WindowDetection
 from repro.errors import ClusterError, ClusterProtocolError
-from repro.fleet.executor import run_campaign
 from repro.fleet.scenarios import ImpairmentSpec, ScenarioMatrix, ScenarioSpec
 from repro.live.service import LiveRcaService, canonical_detections
 from repro.live.sources import ReplaySource
@@ -67,7 +67,7 @@ def scenarios():
 
 @pytest.fixture(scope="module")
 def local_outcomes(scenarios):
-    return run_campaign(scenarios, workers=1)
+    return api.campaign(scenarios)
 
 
 def _outcome_bytes(outcomes):
@@ -433,14 +433,11 @@ def test_sequential_campaigns_on_one_coordinator(
     assert aggregate.fleet_chain_totals() == fresh.fleet_chain_totals()
 
 
-def test_run_campaign_dispatch_validation(scenarios):
-    with pytest.raises(ValueError, match="dispatch"):
-        run_campaign(scenarios[:1], dispatch="carrier-pigeon")
-
-
-def test_run_campaign_cluster_dispatch_api(scenarios, local_outcomes):
-    """`run_campaign(dispatch="cluster")` is API-compatible: same call
-    site, workers join the printed address, identical outcomes."""
+def test_cluster_backend_campaign_byte_identical_to_local(
+    scenarios, local_outcomes
+):
+    """`api.campaign` on a ClusterBackend: workers join the address
+    `on_listening` advertises, and outcomes equal a local run's."""
     import threading
 
     address = {}
@@ -466,11 +463,9 @@ def test_run_campaign_cluster_dispatch_api(scenarios, local_outcomes):
 
     thread = threading.Thread(target=serve_worker, daemon=True)
     thread.start()
-    outcomes = run_campaign(
+    outcomes = api.campaign(
         scenarios,
-        dispatch="cluster",
-        cluster_port=0,
-        on_listening=on_listening,
+        backend=api.ClusterBackend(port=0, on_listening=on_listening),
     )
     thread.join(timeout=60)
     assert _outcome_bytes(outcomes) == _outcome_bytes(local_outcomes)

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro import api
 from repro.core.detector import DetectorConfig
 from repro.errors import TelemetryError
 from repro.fleet.executor import (
@@ -13,7 +14,6 @@ from repro.fleet.executor import (
     detector_config_hash,
     iter_outcomes,
     load_outcomes,
-    run_campaign,
     run_scenario,
     save_outcomes,
     scenario_fingerprint,
@@ -36,7 +36,7 @@ _MATRIX = ScenarioMatrix(
 
 @pytest.fixture(scope="module")
 def serial_outcomes():
-    return run_campaign(_MATRIX.expand(), workers=1)
+    return api.campaign(_MATRIX.expand())
 
 
 def test_run_scenario_produces_compact_outcome():
@@ -58,19 +58,21 @@ def test_serial_campaign_preserves_scenario_order(serial_outcomes):
 
 
 def test_parallel_campaign_matches_serial(serial_outcomes):
-    parallel = run_campaign(_MATRIX.expand(), workers=2)
+    parallel = api.campaign(
+        _MATRIX.expand(), backend=api.ProcessPoolBackend(2)
+    )
     assert parallel == serial_outcomes
 
 
 def test_workers_must_be_positive():
     with pytest.raises(ValueError):
-        run_campaign(_MATRIX.expand(), workers=0)
+        api.ProcessPoolBackend(0)
 
 
 def test_trace_export_writes_one_shard_per_scenario(tmp_path):
     scenarios = _MATRIX.expand()[:1]
     trace_dir = str(tmp_path / "traces")
-    run_campaign(scenarios, workers=1, trace_dir=trace_dir)
+    api.campaign(scenarios, trace_dir=trace_dir)
     shards = sorted(os.listdir(trace_dir))
     assert len(shards) == 1
     bundle = load_bundle(os.path.join(trace_dir, shards[0]))
@@ -257,11 +259,13 @@ def test_cache_key_separates_scenarios_and_detector_configs():
 def test_campaign_uses_cache_across_workers(tmp_path):
     scenarios = _MATRIX.expand()[:2]
     cache_dir = str(tmp_path / "cache")
-    first = run_campaign(scenarios, workers=1, cache_dir=cache_dir)
+    first = api.campaign(scenarios, cache_dir=cache_dir)
     entries = glob.glob(os.path.join(cache_dir, "**", "*.json"), recursive=True)
     assert len(entries) == len(scenarios)
     start = time.perf_counter()
-    again = run_campaign(scenarios, workers=2, cache_dir=cache_dir)
+    again = api.campaign(
+        scenarios, backend=api.ProcessPoolBackend(2), cache_dir=cache_dir
+    )
     elapsed = time.perf_counter() - start
     assert again == first
     assert elapsed < 5.0  # pool spin-up only, no simulation
@@ -295,7 +299,9 @@ def test_fail_fast_cancels_queued_scenarios():
     scenarios = [_failing_spec()] + _MATRIX.expand()
     start = time.perf_counter()
     with pytest.raises(ValueError, match="RAN knobs"):
-        run_campaign(scenarios, workers=2, fail_fast=True)
+        api.campaign(
+            scenarios, backend=api.ProcessPoolBackend(2), fail_fast=True
+        )
     elapsed = time.perf_counter() - start
     # Without cancellation all four ~8 s sessions simulate to the end;
     # with it the campaign dies in roughly one worker spin-up.
@@ -305,4 +311,4 @@ def test_fail_fast_cancels_queued_scenarios():
 def test_serial_campaign_raises_without_fail_fast_flag():
     scenarios = [_failing_spec()] + _MATRIX.expand()[:1]
     with pytest.raises(ValueError, match="RAN knobs"):
-        run_campaign(scenarios, workers=1)
+        api.campaign(scenarios)

@@ -585,10 +585,3 @@ def test_fleet_header_without_version_is_corruption(tmp_path):
     with pytest.raises(TelemetryError, match="no version"):
         list(iter_outcomes(path))
 
-
-def test_outcome_format_version_is_a_true_alias():
-    from repro.fleet import executor
-
-    assert executor.OUTCOME_FORMAT_VERSION == schema.SCHEMA_VERSION
-    with pytest.raises(AttributeError):
-        executor.NOT_A_NAME

@@ -6,10 +6,9 @@ Fails (exit 1) when:
 * any name in ``repro.__all__`` / ``repro.api.__all__`` /
   ``repro.schema.__all__`` does not resolve (a broken re-export would
   otherwise only surface in user code);
-* resolving the *non*-legacy surface emits a ``DeprecationWarning``
-  (the facade must not be built on its own deprecated shims);
-* any file under ``examples/`` still imports a deprecated path — the
-  examples are the documentation of record for the new surface.
+* any ``from repro... import name`` in a file under ``examples/`` does
+  not resolve — the examples are the documentation of record for the
+  surface, so a removed or renamed name must not survive in them.
 
 Run from the repository root: ``PYTHONPATH=src python
 tools/check_api_surface.py``.
@@ -18,32 +17,19 @@ tools/check_api_surface.py``.
 import ast
 import importlib
 import pathlib
-import re
 import sys
-import warnings
 
-#: Imports retired by the 2.0 facade (see README's deprecation table):
-#: module → names that must not be imported from it.  Examples must use
-#: ``repro.api`` / the defining modules instead.  Detection is
-#: AST-based, so parenthesized multi-line imports and aliases are
-#: caught the same as single-line ones.
-DEPRECATED_IMPORTS = {
-    "repro": {
-        "DominoDetector",
-        "DominoStats",
-        "TelemetryBundle",
-        "Timeline",
-        "parse_chains",
-    },
-    "repro.fleet": {"run_campaign"},
-    "repro.fleet.executor": {"run_campaign"},
-}
 
-#: Attribute-style uses of the legacy surface (``repro.DominoDetector``).
-DEPRECATED_ATTR_PATTERN = re.compile(
-    r"\brepro\.(DominoDetector|DominoStats|TelemetryBundle"
-    r"|Timeline|parse_chains)\b"
-)
+def _resolves(module_name: str, name: str) -> bool:
+    """``from module_name import name`` would succeed."""
+    module = importlib.import_module(module_name)
+    if hasattr(module, name):
+        return True
+    try:  # a submodule not yet imported by its package
+        importlib.import_module(f"{module_name}.{name}")
+    except ImportError:
+        return False
+    return True
 
 
 def check_surface() -> list:
@@ -51,25 +37,10 @@ def check_surface() -> list:
     for module_name in ("repro", "repro.api", "repro.schema"):
         module = importlib.import_module(module_name)
         for name in module.__all__:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                try:
-                    getattr(module, name)
-                except AttributeError:
-                    failures.append(
-                        f"{module_name}.__all__ lists {name!r} but it does "
-                        f"not resolve"
-                    )
-                    continue
-            deprecations = [
-                w
-                for w in caught
-                if issubclass(w.category, DeprecationWarning)
-            ]
-            if deprecations:
+            if not hasattr(module, name):
                 failures.append(
-                    f"{module_name}.{name} resolves through a deprecated "
-                    f"path: {deprecations[0].message}"
+                    f"{module_name}.__all__ lists {name!r} but it does "
+                    f"not resolve"
                 )
     return failures
 
@@ -77,27 +48,24 @@ def check_surface() -> list:
 def check_examples(root: pathlib.Path) -> list:
     failures = []
     for path in sorted((root / "examples").glob("*.py")):
-        text = path.read_text()
         rel = path.relative_to(root)
-        for node in ast.walk(ast.parse(text, filename=str(path))):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if not isinstance(node, ast.ImportFrom) or node.level:
                 continue
-            banned = DEPRECATED_IMPORTS.get(node.module or "", ())
+            module_name = node.module or ""
+            if module_name.split(".")[0] != "repro":
+                continue
             for alias in node.names:
-                if alias.name in banned or alias.name == "*":
+                if alias.name == "*":
                     failures.append(
-                        f"{rel}:{node.lineno}: deprecated import "
-                        f"'from {node.module} import {alias.name}' — use "
-                        f"repro.api (see README deprecation table)"
+                        f"{rel}:{node.lineno}: star import from "
+                        f"{module_name} (its names cannot be checked)"
                     )
-        match = DEPRECATED_ATTR_PATTERN.search(text)
-        if match:
-            line = text[: match.start()].count("\n") + 1
-            failures.append(
-                f"{rel}:{line}: deprecated attribute use "
-                f"{match.group(0)!r} — use repro.api (see README "
-                f"deprecation table)"
-            )
+                elif not _resolves(module_name, alias.name):
+                    failures.append(
+                        f"{rel}:{node.lineno}: 'from {module_name} import "
+                        f"{alias.name}' does not resolve"
+                    )
     return failures
 
 
@@ -108,8 +76,8 @@ def main() -> int:
         print(f"FAIL: {failure}", file=sys.stderr)
     if failures:
         return 1
-    print("API surface OK: repro, repro.api, repro.schema resolve; no "
-          "example imports a deprecated path")
+    print("API surface OK: repro, repro.api, repro.schema resolve; every "
+          "example import resolves")
     return 0
 
 
