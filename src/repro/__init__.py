@@ -22,8 +22,6 @@ Quickstart (the public API lives in :mod:`repro.api`)::
 
 Everything that crosses a process, host, or disk boundary serializes
 through the canonical versioned registry in :mod:`repro.schema`.
-The pre-2.0 top-level names (``repro.DominoDetector`` and friends) are
-gone; import them from their defining modules.
 
 All public names resolve lazily (PEP 562): ``import repro`` stays
 lightweight — the facade, the schema registry, and the simulation

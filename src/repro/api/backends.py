@@ -1,10 +1,10 @@
 """Pluggable campaign execution behind one :class:`ExecutionBackend` seam.
 
-Choosing *where* a campaign runs is a protocol, not a string switch:
-:func:`repro.api.campaign` hands the expanded scenario list to whatever
-backend it is given, and each backend owns exactly one execution
-strategy — in this process, on a local process pool, or on remote
-cluster workers (optionally journaled, authenticated and TLS-served).
+Where a campaign runs is a protocol: :func:`repro.api.campaign` hands
+the expanded scenario list to whatever backend it is given, and each
+backend owns exactly one execution strategy — in this process, on a
+local process pool, or on remote cluster workers (optionally journaled,
+authenticated and TLS-served).
 
 Every backend runs scenarios through
 :func:`repro.fleet.executor.run_scenario`, and scenarios are

@@ -214,6 +214,19 @@ def test_fleet_cache_dir_rerun_skips_simulation(tmp_path, capsys):
     assert warm_elapsed < cold_elapsed / 5  # cache hits, no simulation
 
 
+def _cli_env():
+    """Environment for a ``python -m repro.cli`` subprocess that imports
+    this checkout's ``repro``."""
+    import os
+
+    import repro
+
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
 def test_sigterm_graceful_drain_flushes_metrics_file(tmp_path):
     """SIGTERM must unwind main()'s finally and flush --metrics-file.
 
@@ -222,18 +235,13 @@ def test_sigterm_graceful_drain_flushes_metrics_file(tmp_path):
     snapshot that never appears is terminated mid-wait, and must still
     exit 143 (128 + SIGTERM) with its final metrics snapshot on disk.
     """
-    import os
     import signal
     import subprocess
     import sys
     import time
 
-    import repro
     from repro.obs import parse_prom
 
-    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     metrics_path = str(tmp_path / "final.prom")
     proc = subprocess.Popen(
         [
@@ -248,7 +256,7 @@ def test_sigterm_graceful_drain_flushes_metrics_file(tmp_path):
             "--interval",
             "0.2",
         ],
-        env=env,
+        env=_cli_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
@@ -366,7 +374,9 @@ def standing_coordinator(monkeypatch):
     monkeypatch.setitem(
         PRESETS,
         "smoke",
-        ScenarioMatrix(name="cli_tiny", profiles=("wired",), durations_s=(6.0,)),
+        ScenarioMatrix(
+            name="cli_tiny", profiles=("wired",), durations_s=(6.0,)
+        ),
     )
     loop = asyncio.new_event_loop()
     thread = threading.Thread(target=loop.run_forever, daemon=True)
@@ -473,19 +483,13 @@ def test_cluster_status_unreachable_coordinator_exits_1():
 
 def _run_cli(argv, cwd):
     """Run ``python -m repro.cli`` as a subprocess: what a user sees."""
-    import os
     import subprocess
     import sys
 
-    import repro
-
-    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
         cwd=cwd,
-        env=env,
+        env=_cli_env(),
         capture_output=True,
         text=True,
         timeout=120,
